@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -41,11 +42,14 @@ from .evaluate import (
     cv_to_csv,
     lambda_sweep,
     sweep_to_csv,
+    train,
 )
 from .explain import attribution_to_csv, rank_features, ranking_to_csv, shapley_sampled
 from .models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate_task_family
-from .training import MetaConfig, train_meta, train_plain, train_transfer
+from .training import MetaConfig
+# re-exported: perfbench's TrainClock wraps the trainers on this module as well
+from .training import train_meta, train_plain, train_transfer  # noqa: F401
 
 DEFAULT_LAMBDAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -82,28 +86,14 @@ class RunConfig:
     trainer: str = "meta"
     k: int = 10
     seed: int = 0
-    jobs: int = 1
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     out: Path = Path("metagx-out")
     lam_given: bool = False
     arch_given: bool = False
 
     def model_config(self, input_dim: int) -> ModelConfig:
-        return ModelConfig(
-            architecture=self.architecture,
-            input_dim=input_dim,
-            hidden_dims=self.hidden_dims,
-            channels=self.channels,
-            kernel_size=self.kernel_size,
-            conv_stride=self.conv_stride,
-            conv_padding=self.conv_padding,
-            pool_size=self.pool_size,
-            pool_stride=self.pool_stride,
-            conv_layers=self.conv_layers,
-            embed_dim=self.embed_dim,
-            tokens=self.tokens,
-            leaky_slope=self.leaky_slope,
-        )
+        model = {name: getattr(self, name) for name in SECTION_FIELDS["model"]}
+        return ModelConfig(input_dim=input_dim, **model)
 
     def meta_config(self, input_dim: int) -> MetaConfig:
         return MetaConfig(
@@ -120,35 +110,13 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file parsing
+# config file parsing and writing
 
-
-def _split_list(raw: str) -> list[str]:
-    parts: list[str] = []
-    for chunk in raw.replace("\n", ",").split(","):
-        chunk = chunk.strip()
-        if chunk:
-            parts.append(chunk)
-    return parts
-
-
-def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in _split_list(raw))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of integers, got {raw!r}") from None
-
-
-def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in _split_list(raw))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of numbers, got {raw!r}") from None
-
-
-_SECTION_KEYS = {
-    "data": {"sources", "target", "interactions"},
-    "model": {
+# INI section -> the RunConfig fields it sets. A field's key is its name,
+# except ``lam``, whose key is ``lambda``.
+SECTION_FIELDS = {
+    "data": ("sources", "target", "interactions"),
+    "model": (
         "architecture",
         "hidden_dims",
         "channels",
@@ -161,18 +129,69 @@ _SECTION_KEYS = {
         "embed_dim",
         "tokens",
         "leaky_slope",
-    },
-    "training": {
-        "alpha",
-        "momentum",
-        "beta",
-        "lambda",
-        "epochs",
-        "batch_size",
-        "fresh_inner_eval",
-    },
-    "run": {"trainer", "k", "seed", "jobs", "lambdas"},
+    ),
+    "training": ("alpha", "momentum", "beta", "lam", "epochs", "batch_size", "fresh_inner_eval"),
+    "run": ("trainer", "k", "seed", "lambdas"),
 }
+
+
+def _ini_key(name: str) -> str:
+    return "lambda" if name == "lam" else name
+
+
+def _field_kind(hint) -> tuple[type, bool]:
+    """(scalar type, is a list) of a RunConfig annotation such as
+    ``int``, ``Path | None`` or ``tuple[float, ...]``."""
+    args = [a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)]
+    return (args[0] if args else hint), typing.get_origin(hint) is tuple
+
+
+_FIELD_KINDS = {name: _field_kind(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {raw}") from None
+
+
+_PARSERS = {str: str.strip, int: int, float: float, bool: _parse_bool}
+_LIST_NOUNS = {int: "integers", float: "numbers"}
+
+
+def _split_list(raw: str) -> list[str]:
+    parts: list[str] = []
+    for chunk in raw.replace("\n", ",").split(","):
+        chunk = chunk.strip()
+        if chunk:
+            parts.append(chunk)
+    return parts
+
+
+def _parse_field(name: str, raw: str, key: str, base: Path = Path()):
+    """Parse one field's text by its RunConfig type; ``key`` names it in errors
+    and relative paths resolve against ``base``."""
+    kind, is_list = _FIELD_KINDS[name]
+    parse = base.joinpath if kind is Path else _PARSERS[kind]
+    if not is_list:
+        return parse(raw)
+    try:
+        return tuple(parse(p) for p in _split_list(raw))
+    except ValueError:
+        raise ConfigError(
+            f"{key} must be a comma-separated list of {_LIST_NOUNS[kind]}, got {raw!r}"
+        ) from None
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    return str(value)
 
 
 def load_run_config(path: Path) -> RunConfig:
@@ -187,122 +206,35 @@ def load_run_config(path: Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is not valid INI: {exc}") from None
 
+    kw: dict = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in SECTION_FIELDS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        keys = {_ini_key(name): name for name in SECTION_FIELDS[section]}
+        unknown = set(parser[section]) - set(keys)
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-
-    base = path.parent
-
-    def _path(raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    kw: dict = {}
-    if parser.has_section("data"):
-        sec = parser["data"]
-        if "sources" in sec:
-            kw["sources"] = tuple(_path(p) for p in _split_list(sec["sources"]))
-        if "target" in sec:
-            kw["target"] = _path(sec["target"])
-        if "interactions" in sec:
-            kw["interactions"] = _path(sec["interactions"])
-    try:
-        if parser.has_section("model"):
-            sec = parser["model"]
-            if "architecture" in sec:
-                kw["architecture"] = sec["architecture"].strip()
-                kw["arch_given"] = True
-            if "hidden_dims" in sec:
-                kw["hidden_dims"] = _parse_ints(sec["hidden_dims"], "hidden_dims")
-            for key in (
-                "channels",
-                "kernel_size",
-                "conv_stride",
-                "conv_padding",
-                "pool_size",
-                "pool_stride",
-                "conv_layers",
-                "embed_dim",
-                "tokens",
-            ):
-                if key in sec:
-                    kw[key] = sec.getint(key)
-            if "leaky_slope" in sec:
-                kw["leaky_slope"] = sec.getfloat("leaky_slope")
-        if parser.has_section("training"):
-            sec = parser["training"]
-            for key in ("alpha", "momentum", "beta"):
-                if key in sec:
-                    kw[key] = sec.getfloat(key)
-            if "lambda" in sec:
-                kw["lam"] = sec.getfloat("lambda")
-                kw["lam_given"] = True
-            for key in ("epochs", "batch_size"):
-                if key in sec:
-                    kw[key] = sec.getint(key)
-            if "fresh_inner_eval" in sec:
-                kw["fresh_inner_eval"] = sec.getboolean("fresh_inner_eval")
-        if parser.has_section("run"):
-            sec = parser["run"]
-            if "trainer" in sec:
-                kw["trainer"] = sec["trainer"].strip()
-            for key in ("k", "seed", "jobs"):
-                if key in sec:
-                    kw[key] = sec.getint(key)
-            if "lambdas" in sec:
-                kw["lambdas"] = _parse_floats(sec["lambdas"], "lambdas")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return RunConfig(**kw)
+        for key, raw in parser[section].items():
+            try:
+                kw[keys[key]] = _parse_field(keys[key], raw, key, path.parent)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+    return RunConfig(**kw, lam_given="lam" in kw, arch_given="architecture" in kw)
 
 
 def write_effective_config(cfg: RunConfig, path: Path) -> None:
     """Snapshot the effective settings as INI (skipping unset paths)."""
-    lines = ["[data]"]
-    if cfg.sources:
-        lines.append("sources = " + ", ".join(str(p) for p in cfg.sources))
-    if cfg.target is not None:
-        lines.append(f"target = {cfg.target}")
-    if cfg.interactions is not None:
-        lines.append(f"interactions = {cfg.interactions}")
-    lines += [
-        "",
-        "[model]",
-        f"architecture = {cfg.architecture}",
-        "hidden_dims = " + ", ".join(str(h) for h in cfg.hidden_dims),
-        f"channels = {cfg.channels}",
-        f"kernel_size = {cfg.kernel_size}",
-        f"conv_stride = {cfg.conv_stride}",
-        f"conv_padding = {cfg.conv_padding}",
-        f"pool_size = {cfg.pool_size}",
-        f"pool_stride = {cfg.pool_stride}",
-        f"conv_layers = {cfg.conv_layers}",
-        f"embed_dim = {cfg.embed_dim}",
-        f"tokens = {cfg.tokens}",
-        f"leaky_slope = {cfg.leaky_slope!r}",
-        "",
-        "[training]",
-        f"alpha = {cfg.alpha!r}",
-        f"momentum = {cfg.momentum!r}",
-        f"beta = {cfg.beta!r}",
-        f"lambda = {cfg.lam!r}",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"fresh_inner_eval = {str(cfg.fresh_inner_eval).lower()}",
-        "",
-        "[run]",
-        f"trainer = {cfg.trainer}",
-        f"k = {cfg.k}",
-        f"seed = {cfg.seed}",
-        f"jobs = {cfg.jobs}",
-        "lambdas = " + ", ".join(repr(l) for l in cfg.lambdas),
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    blocks = []
+    for section, names in SECTION_FIELDS.items():
+        lines = [f"[{section}]"]
+        for name in names:
+            value = getattr(cfg, name)
+            if _FIELD_KINDS[name][0] is not Path or value:
+                lines.append(f"{_ini_key(name)} = {_format_value(value)}")
+        blocks.append("\n".join(lines))
+    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +242,14 @@ def write_effective_config(cfg: RunConfig, path: Path) -> None:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out"] = Path(args.out)
-    if getattr(args, "jobs", None) is not None:
-        updates["jobs"] = args.jobs
-    if getattr(args, "trainer", None) is not None:
-        updates["trainer"] = args.trainer
-    if getattr(args, "k", None) is not None:
-        updates["k"] = args.k
-    if getattr(args, "lam", None) is not None:
-        updates["lam"] = args.lam
-        updates["lam_given"] = True
-    if getattr(args, "lambdas", None) is not None:
-        updates["lambdas"] = _parse_floats(args.lambdas, "--lambdas")
-    return replace(cfg, **updates) if updates else cfg
+    updates = {
+        name: getattr(args, name)
+        for name in ("seed", "out", "trainer", "k", "lam", "lambdas")
+        if getattr(args, name, None) is not None
+    }
+    if "lambdas" in updates:
+        updates["lambdas"] = _parse_field("lambdas", updates["lambdas"], "--lambdas")
+    return replace(cfg, **updates, lam_given=cfg.lam_given or "lam" in updates)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -338,8 +261,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"architecture must be one of {ARCHITECTURES}, got {cfg.architecture!r}"
         )
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     return cfg
 
 
@@ -411,8 +332,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _normalized_training_inputs(cfg: RunConfig):
     sources, target, inter = _load_inputs(cfg)
-    if cfg.trainer != "plain" and not sources:
-        raise ConfigError(f"trainer {cfg.trainer!r} requires [data] sources")
     genes = _select_genes(sources, target, inter)
     sources_p = [project(s, genes) for s in sources]
     target_p = project(target, genes)
@@ -430,12 +349,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _warn_lambda_ignored(cfg)
     genes, norm_sources, target_n, stats = _normalized_training_inputs(cfg)
     meta_cfg = cfg.meta_config(len(genes))
-    if cfg.trainer == "plain":
-        params, log = train_plain(meta_cfg, target_n)
-    elif cfg.trainer == "transfer":
-        params, log = train_transfer(meta_cfg, norm_sources, target_n)
-    else:
-        params, log = train_meta(meta_cfg, norm_sources, target_n)
+    params, log = train(cfg.trainer, meta_cfg, norm_sources, target_n)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.json", params, meta_cfg.model)
     log.to_csv(out / "trainlog.csv")
@@ -464,8 +378,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _warn_lambda_ignored(cfg)
     sources, target, inter = _load_inputs(cfg)
-    if cfg.trainer != "plain" and not sources:
-        raise ConfigError(f"trainer {cfg.trainer!r} requires [data] sources")
     genes = _select_genes(sources, target, inter)
     result = cross_validate(
         sources,
@@ -474,7 +386,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         trainer=cfg.trainer,
         k=cfg.k,
         interactions=inter,
-        n_jobs=cfg.jobs,
     )
     out = _out_dir(cfg)
     cv_to_csv(result, out / f"cv_{cfg.trainer}.csv")
@@ -507,7 +418,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lambdas=cfg.lambdas,
         k=cfg.k,
         interactions=inter,
-        n_jobs=cfg.jobs,
     )
     out = _out_dir(cfg)
     sweep_to_csv(points, out / "sweep.csv")
@@ -534,7 +444,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         genes = tuple(sidecar["genes"])
         mean = np.asarray(sidecar["normalization"]["mean"], dtype=np.float64)
         std = np.asarray(sidecar["normalization"]["std"], dtype=np.float64)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"cannot read preprocessing sidecar {sidecar_path}: {exc}"
         ) from None
@@ -542,6 +452,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"checkpoint expects {model_cfg.input_dim} features but the sidecar "
             f"lists {len(genes)} genes"
+        )
+    if not (
+        mean.shape == std.shape == (len(genes),)
+        and np.all(np.isfinite(mean))
+        and np.all(np.isfinite(std) & (std > 0))
+    ):
+        raise ConfigError(
+            f"preprocessing sidecar {sidecar_path} must give one finite mean and one "
+            "finite, positive std per gene"
         )
     _, target, _ = _load_inputs(cfg)
     target_p = project(target, genes)
@@ -610,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI run configuration file")
     common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--out", help="output directory (default metagx-out)")
-    common.add_argument("--jobs", type=int, help="parallel fold workers")
+    common.add_argument("--out", type=Path, help="output directory (default metagx-out)")
 
     parser = argparse.ArgumentParser(
         prog="metagx",

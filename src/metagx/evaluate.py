@@ -14,7 +14,6 @@ fold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +31,7 @@ from .data import (
     stratified_kfold,
 )
 from .errors import DimensionError, MetricError
-from .models import predict
+from .models import ModelParams, predict
 from .training import MetaConfig, TrainLog, train_meta, train_plain, train_transfer
 
 Array = np.ndarray
@@ -201,7 +200,29 @@ def classification_metrics(
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
+# training and cross-validation
+
+
+def train(
+    trainer: str,
+    config: MetaConfig,
+    sources: Sequence[ExpressionDataset],
+    target_train: ExpressionDataset,
+) -> tuple[ModelParams, TrainLog]:
+    """Run the named trainer with its default stage lengths.
+
+    The trainers are looked up as module attributes at call time, so a
+    wrapper installed on this module sees every call.
+    """
+    if trainer not in TRAINERS:
+        raise ValueError(f"trainer must be one of {TRAINERS}, got {trainer!r}")
+    if trainer == "plain":
+        return train_plain(config, target_train)
+    if not sources:
+        raise ValueError(f"trainer {trainer!r} requires sources, got none")
+    if trainer == "transfer":
+        return train_transfer(config, sources, target_train)
+    return train_meta(config, sources, target_train)
 
 
 def _fold_seed(seed: int, fold: int) -> int:
@@ -221,7 +242,6 @@ def cross_validate(
     trainer: str = "meta",
     k: int = 10,
     interactions: GeneInteractionSet | None = None,
-    n_jobs: int = 1,
 ) -> CvResult:
     """Stratified k-fold evaluation of one trainer on the target cohort.
 
@@ -231,10 +251,6 @@ def cross_validate(
     and applied to the held-out fold; sources are normalized with their own
     full-cohort statistics. Fold seeds derive from ``config.seed``.
     """
-    if trainer not in TRAINERS:
-        raise ValueError(f"trainer must be one of {TRAINERS}, got {trainer!r}")
-    if trainer != "plain" and not sources:
-        raise ValueError(f"trainer {trainer!r} requires at least one source dataset")
     everything = [*sources, target]
     genes = select_common_genes(everything)
     if interactions is not None:
@@ -249,7 +265,8 @@ def cross_validate(
         for src in sources_p
     ]
 
-    def run_fold(fold: int) -> MetricsReport:
+    reports = []
+    for fold in range(split.k):
         train_idx = split.train_indices(fold)
         test_idx = split.test_indices(fold)
         train_ds = target_p.take(train_idx)
@@ -257,20 +274,9 @@ def cross_validate(
         train_ds = train_ds.with_matrix(apply_normalization(train_ds.matrix, stats))
         test_matrix = apply_normalization(target_p.matrix[test_idx], stats)
         fold_config = replace(config, model=model, seed=_fold_seed(config.seed, fold))
-        if trainer == "plain":
-            params, _ = train_plain(fold_config, train_ds)
-        elif trainer == "transfer":
-            params, _ = train_transfer(fold_config, norm_sources, train_ds)
-        else:
-            params, _ = train_meta(fold_config, norm_sources, train_ds)
+        params, _ = train(trainer, fold_config, norm_sources, train_ds)
         scores = predict(params, model, test_matrix)
-        return classification_metrics(scores, target_p.labels[test_idx])
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            reports = list(pool.map(run_fold, range(split.k)))
-    else:
-        reports = [run_fold(fold) for fold in range(split.k)]
+        reports.append(classification_metrics(scores, target_p.labels[test_idx]))
 
     return CvResult(
         per_fold=tuple(reports),
@@ -317,7 +323,6 @@ def lambda_sweep(
     lambdas: Sequence[float],
     k: int = 10,
     interactions: GeneInteractionSet | None = None,
-    n_jobs: int = 1,
 ) -> list[SweepPoint]:
     """Cross-validate the meta trainer at each mixing weight.
 
@@ -338,7 +343,6 @@ def lambda_sweep(
             trainer="meta",
             k=k,
             interactions=interactions,
-            n_jobs=n_jobs,
         )
         f1s = np.array([r.f1 for r in cv.per_fold])
         points.append(

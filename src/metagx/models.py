@@ -337,7 +337,9 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
+    if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has unsupported format version {doc.get('format_version')!r}"
         )

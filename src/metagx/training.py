@@ -13,6 +13,10 @@ The outer gradient is first-order: adapted copies enter the combined loss as
 independent leaves under their parameter names, and per-name gradients are
 summed, so no second derivative through the inner step is formed.
 
+All trainers share one loop of shuffled Adam passes: plain training is that
+loop on the target alone, meta training adds the adapted-source term to each
+step, and transfer runs it twice (pooled sources, then the target).
+
 Randomness is split into named streams derived from the run seed, so the
 target batch schedule is identical across trainers; with lam = 1 the meta
 trainer reproduces the plain trainer's trajectory exactly.
@@ -35,10 +39,10 @@ from .models import ModelConfig, ModelParams, forward, init_model, predict
 Array = np.ndarray
 
 # sub-streams of the run seed; keeping them separate guarantees the target
-# batch schedule does not depend on how many sources are consumed
-_STREAM_TARGET = 1
+# batch schedule does not depend on how many sources are consumed. Every
+# stage that passes over the target draws the same schedule.
+_STAGE_STREAMS = {"train": 1, "finetune": 1, "pretrain": 3}
 _STREAM_SOURCE = 2
-_STREAM_PRETRAIN = 3
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,10 @@ class TrainLogRecord:
 
 
 class TrainLog:
-    """Per-step loss history plus stage-transition events."""
+    """Per-step loss history; each record names its training stage."""
 
     def __init__(self):
         self.records: list[TrainLogRecord] = []
-        self.events: list[tuple[int, str]] = []
 
     def append(
         self,
@@ -125,12 +128,12 @@ class TrainLog:
         return len(self.records)
 
     def to_csv(self, path: Path | str) -> None:
-        """Write ``step,epoch,loss_target,loss_source,loss_meta`` rows."""
-        lines = ["step,epoch,loss_target,loss_source,loss_meta"]
+        """Write ``step,epoch,loss_target,loss_source,loss_meta,stage`` rows."""
+        lines = ["step,epoch,loss_target,loss_source,loss_meta,stage"]
         for r in self.records:
             src = "" if r.loss_source is None else repr(r.loss_source)
             meta = "" if r.loss_meta is None else repr(r.loss_meta)
-            lines.append(f"{r.step},{r.epoch},{repr(r.loss_target)},{src},{meta}")
+            lines.append(f"{r.step},{r.epoch},{repr(r.loss_target)},{src},{meta},{r.stage}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -349,6 +352,62 @@ def _check_finite(value: float, what: str, step: int, epoch: int) -> None:
 OnStep = Callable[[int, ModelParams], None]
 
 
+def _train_loop(
+    config: MetaConfig,
+    params: ModelParams,
+    dataset: ExpressionDataset,
+    epochs: int,
+    stage: str,
+    log: TrainLog,
+    on_step: OnStep | None,
+    sources: Sequence[ExpressionDataset] = (),
+) -> ModelParams:
+    """``epochs`` shuffled Adam passes over ``dataset``, from a fresh optimizer.
+
+    Batches come from the stage's sub-stream of the run seed. Without
+    sources each step minimizes the batch loss; with sources it minimizes the
+    meta loss, adding the adapted-source term. Steps are numbered on from the
+    records already in ``log``.
+    """
+    adam = AdamState()
+    rng = np.random.default_rng([config.seed, _STAGE_STREAMS[stage]])
+    source_rng = np.random.default_rng([config.seed, _STREAM_SOURCE])
+    step = len(log)
+    for epoch in range(1, epochs + 1):
+        for bx, by in _epoch_batches(dataset, config.batch_size, rng):
+            step += 1
+            tape = ad.Tape()
+            base = params.bind(tape)
+            l_t = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
+            lt_v = l_t.item()
+            _check_finite(lt_v, f"{stage} loss", step, epoch)
+            loss, ls_v, lm_v, src_groups = l_t, None, None, []
+            if sources:
+                src_losses, src_groups = _adapted_source_losses(
+                    tape,
+                    params,
+                    config.model,
+                    sources,
+                    config.batch_size,
+                    config.inner_lr,
+                    config.inner_momentum,
+                    source_rng,
+                    config.fresh_inner_eval,
+                )
+                l_s = _mean_of(src_losses)
+                loss = meta_loss(l_t, l_s, config.lam)
+                ls_v, lm_v = l_s.item(), loss.item()
+                _check_finite(ls_v, "source loss", step, epoch)
+            groups = {
+                name: [leaf] + [g[name] for g in src_groups] for name, leaf in base.items()
+            }
+            params = outer_step(params, loss, groups, adam, config.outer_lr)
+            log.append(step, epoch, lt_v, ls_v, lm_v, stage)
+            if on_step is not None:
+                on_step(step, params)
+    return params
+
+
 def train_meta(
     config: MetaConfig,
     sources: Sequence[ExpressionDataset],
@@ -365,42 +424,11 @@ def train_meta(
     if not sources:
         raise ValueError("train_meta requires at least one source dataset")
     _check_inputs(config, [*sources, target_train])
-    params = init_model(config.model, config.seed)
-    adam = AdamState()
-    target_rng = np.random.default_rng([config.seed, _STREAM_TARGET])
-    source_rng = np.random.default_rng([config.seed, _STREAM_SOURCE])
     log = TrainLog()
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        for bx, by in _epoch_batches(target_train, config.batch_size, target_rng):
-            step += 1
-            tape = ad.Tape()
-            base = params.bind(tape)
-            l_t = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
-            src_losses, src_groups = _adapted_source_losses(
-                tape,
-                params,
-                config.model,
-                sources,
-                config.batch_size,
-                config.inner_lr,
-                config.inner_momentum,
-                source_rng,
-                config.fresh_inner_eval,
-            )
-            l_s = _mean_of(src_losses)
-            l_m = meta_loss(l_t, l_s, config.lam)
-            lt_v, ls_v, lm_v = l_t.item(), l_s.item(), l_m.item()
-            _check_finite(lt_v, "target loss", step, epoch)
-            _check_finite(ls_v, "source loss", step, epoch)
-            groups = {
-                name: [base[name]] + [g[name] for g in src_groups]
-                for name in params.names()
-            }
-            params = outer_step(params, l_m, groups, adam, config.outer_lr)
-            log.append(step, epoch, lt_v, ls_v, lm_v)
-            if on_step is not None:
-                on_step(step, params)
+    params = init_model(config.model, config.seed)
+    params = _train_loop(
+        config, params, target_train, config.epochs, "train", log, on_step, sources
+    )
     return params, log
 
 
@@ -411,24 +439,9 @@ def train_plain(
 ) -> tuple[ModelParams, TrainLog]:
     """Adam training on the target split alone (no sources, no inner loop)."""
     _check_inputs(config, [target_train])
-    params = init_model(config.model, config.seed)
-    adam = AdamState()
-    target_rng = np.random.default_rng([config.seed, _STREAM_TARGET])
     log = TrainLog()
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        for bx, by in _epoch_batches(target_train, config.batch_size, target_rng):
-            step += 1
-            tape = ad.Tape()
-            base = params.bind(tape)
-            l_t = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
-            lt_v = l_t.item()
-            _check_finite(lt_v, "target loss", step, epoch)
-            groups = {name: [leaf] for name, leaf in base.items()}
-            params = outer_step(params, l_t, groups, adam, config.outer_lr)
-            log.append(step, epoch, lt_v)
-            if on_step is not None:
-                on_step(step, params)
+    params = init_model(config.model, config.seed)
+    params = _train_loop(config, params, target_train, config.epochs, "train", log, on_step)
     return params, log
 
 
@@ -466,40 +479,10 @@ def train_transfer(
     if pre_epochs < 0 or fin_epochs < 1:
         raise ValueError("pretrain epochs must be >= 0 and finetune epochs >= 1")
     _check_inputs(config, [*sources, target_train])
-    params = init_model(config.model, config.seed)
     log = TrainLog()
-    step = 0
+    params = init_model(config.model, config.seed)
     if pre_epochs:
         pooled = _pool_sources(sources)
-        adam = AdamState()
-        rng = np.random.default_rng([config.seed, _STREAM_PRETRAIN])
-        for epoch in range(1, pre_epochs + 1):
-            for bx, by in _epoch_batches(pooled, config.batch_size, rng):
-                step += 1
-                tape = ad.Tape()
-                base = params.bind(tape)
-                loss = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
-                value = loss.item()
-                _check_finite(value, "pretraining loss", step, epoch)
-                groups = {name: [leaf] for name, leaf in base.items()}
-                params = outer_step(params, loss, groups, adam, config.outer_lr)
-                log.append(step, epoch, value, stage="pretrain")
-                if on_step is not None:
-                    on_step(step, params)
-    log.events.append((step, "finetune_start"))
-    adam = AdamState()
-    rng = np.random.default_rng([config.seed, _STREAM_TARGET])
-    for epoch in range(1, fin_epochs + 1):
-        for bx, by in _epoch_batches(target_train, config.batch_size, rng):
-            step += 1
-            tape = ad.Tape()
-            base = params.bind(tape)
-            loss = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
-            value = loss.item()
-            _check_finite(value, "fine-tuning loss", step, epoch)
-            groups = {name: [leaf] for name, leaf in base.items()}
-            params = outer_step(params, loss, groups, adam, config.outer_lr)
-            log.append(step, epoch, value, stage="finetune")
-            if on_step is not None:
-                on_step(step, params)
+        params = _train_loop(config, params, pooled, pre_epochs, "pretrain", log, on_step)
+    params = _train_loop(config, params, target_train, fin_epochs, "finetune", log, on_step)
     return params, log

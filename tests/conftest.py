@@ -1,6 +1,8 @@
-"""Shared numeric oracles for the test suite."""
+"""Shared numeric oracles and hooks for the test suite."""
 
 import numpy as np
+
+from metagx import evaluate
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -36,3 +38,16 @@ def max_rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-6) -> float
         raise AssertionError(f"shape mismatch: {got.shape} vs {want.shape}")
     denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), floor)
     return float(np.max(np.abs(got - want) / denom)) if got.size else 0.0
+
+
+def count_trainer_calls(monkeypatch) -> dict[str, int]:
+    """Wrap the trainers bound on ``metagx.evaluate``; returns the live call counts."""
+    calls: dict[str, int] = {}
+    for name in ("train_plain", "train_transfer", "train_meta"):
+
+        def counted(*args, _name=name, _fn=getattr(evaluate, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, name, counted)
+    return calls

@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, exit codes, artifacts, determinism."""
 
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from metagx.cli import (
     DEFAULT_LAMBDAS,
+    SECTION_FIELDS,
     RunConfig,
     load_run_config,
     main,
@@ -16,6 +19,8 @@ from metagx.cli import (
 from metagx.data import load_expression_tsv
 from metagx.errors import ConfigError
 from metagx.models import load_checkpoint
+
+from conftest import count_trainer_calls
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,6 @@ def test_load_run_config_reads_all_sections(tmp_path):
         "trainer = transfer\n"
         "k = 4\n"
         "seed = 11\n"
-        "jobs = 2\n"
         "lambdas = 0.2, 0.8\n",
         encoding="utf-8",
     )
@@ -141,7 +145,6 @@ def test_load_run_config_reads_all_sections(tmp_path):
     assert cfg.trainer == "transfer"
     assert cfg.k == 4
     assert cfg.seed == 11
-    assert cfg.jobs == 2
     assert cfg.lambdas == (0.2, 0.8)
 
 
@@ -193,42 +196,90 @@ def test_load_run_config_missing_file(tmp_path):
         load_run_config(tmp_path / "nope.ini")
 
 
-def test_effective_config_round_trip(tmp_path):
-    cfg = RunConfig(
-        sources=(Path("/data/a.tsv"),),
+def full_run_config() -> RunConfig:
+    """A RunConfig with every INI field away from its default."""
+    return RunConfig(
+        sources=(Path("/data/a.tsv"), Path("/data/b.tsv")),
         target=Path("/data/t.tsv"),
-        architecture="transformer",
-        hidden_dims=(32,),
+        interactions=Path("/data/pairs.tsv"),
+        architecture="cnn",
+        hidden_dims=(64, 32, 16),
+        channels=8,
+        kernel_size=5,
+        conv_stride=2,
+        conv_padding=0,
+        pool_size=3,
+        pool_stride=1,
+        conv_layers=3,
+        embed_dim=24,
+        tokens=12,
+        leaky_slope=0.05,
         alpha=0.0025,
+        momentum=0.5,
+        beta=1e-05,
         lam=0.4,
         epochs=7,
-        trainer="meta",
+        batch_size=16,
+        fresh_inner_eval=True,
+        trainer="transfer",
         k=5,
         seed=9,
         lambdas=(0.25, 1.0),
     )
+
+
+INI_FIELDS = [name for names in SECTION_FIELDS.values() for name in names]
+
+
+def test_effective_config_round_trip(tmp_path):
+    cfg = full_run_config()
     path = tmp_path / "effective.ini"
     write_effective_config(cfg, path)
     loaded = load_run_config(path)
-    for field in (
-        "sources",
-        "target",
-        "architecture",
-        "hidden_dims",
-        "channels",
-        "alpha",
-        "momentum",
-        "beta",
-        "lam",
-        "epochs",
-        "batch_size",
-        "trainer",
-        "k",
-        "seed",
-        "jobs",
-        "lambdas",
-    ):
+    for field in INI_FIELDS:
+        assert getattr(cfg, field) != getattr(RunConfig(), field), field
         assert getattr(loaded, field) == getattr(cfg, field), field
+    assert loaded == replace(cfg, lam_given=True, arch_given=True)
+
+
+def test_effective_config_bytes(tmp_path):
+    path = tmp_path / "effective.ini"
+    write_effective_config(full_run_config(), path)
+    assert path.read_bytes() == (
+        b"[data]\n"
+        b"sources = /data/a.tsv, /data/b.tsv\n"
+        b"target = /data/t.tsv\n"
+        b"interactions = /data/pairs.tsv\n"
+        b"\n"
+        b"[model]\n"
+        b"architecture = cnn\n"
+        b"hidden_dims = 64, 32, 16\n"
+        b"channels = 8\n"
+        b"kernel_size = 5\n"
+        b"conv_stride = 2\n"
+        b"conv_padding = 0\n"
+        b"pool_size = 3\n"
+        b"pool_stride = 1\n"
+        b"conv_layers = 3\n"
+        b"embed_dim = 24\n"
+        b"tokens = 12\n"
+        b"leaky_slope = 0.05\n"
+        b"\n"
+        b"[training]\n"
+        b"alpha = 0.0025\n"
+        b"momentum = 0.5\n"
+        b"beta = 1e-05\n"
+        b"lambda = 0.4\n"
+        b"epochs = 7\n"
+        b"batch_size = 16\n"
+        b"fresh_inner_eval = true\n"
+        b"\n"
+        b"[run]\n"
+        b"trainer = transfer\n"
+        b"k = 5\n"
+        b"seed = 9\n"
+        b"lambdas = 0.25, 1.0\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +324,15 @@ def test_bad_trainer_in_config_exits_two(tmp_path, family_dir, capsys):
     code = main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "trainer" in capsys.readouterr().err
+
+
+def test_jobs_option_and_key_are_gone(tmp_path, config_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["evaluate", "--config", str(config_path), "--out", out, "--jobs", "2"]) == 2
+    cfg_file = tmp_path / "jobs.ini"
+    cfg_file.write_text(config_path.read_text(encoding="utf-8") + "jobs = 2\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_file), "--out", out]) == 2
+    assert "unknown key(s) in [run]: jobs" in capsys.readouterr().err
 
 
 def test_meta_without_sources_exits_two(tmp_path, family_dir, capsys):
@@ -402,8 +462,9 @@ def test_train_plain_artifacts(tmp_path, config_path):
     assert model_cfg.input_dim == 12
     assert model_cfg.hidden_dims == (8, 4)
     log_lines = (out / "trainlog.csv").read_text(encoding="utf-8").splitlines()
-    assert log_lines[0] == "step,epoch,loss_target,loss_source,loss_meta"
+    assert log_lines[0] == "step,epoch,loss_target,loss_source,loss_meta,stage"
     assert len(log_lines) == 1 + 2 * 2  # epochs * ceil(30 / 16)
+    assert all(line.endswith(",train") for line in log_lines[1:])
     sidecar = json.loads((out / "preprocess.json").read_text(encoding="utf-8"))
     assert len(sidecar["genes"]) == 12
     assert len(sidecar["normalization"]["mean"]) == 12
@@ -447,6 +508,14 @@ def test_train_meta_no_lambda_warning(tmp_path, family_dir, capsys):
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("trainer", ("plain", "transfer", "meta"))
+def test_train_reaches_trainers_through_evaluate(tmp_path, config_path, monkeypatch, trainer):
+    calls = count_trainer_calls(monkeypatch)
+    args = ["train", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    assert main([*args, "--trainer", trainer]) == 0
+    assert calls == {f"train_{trainer}": 1}
 
 
 def test_train_meta_and_transfer_run(tmp_path, config_path):
@@ -676,6 +745,41 @@ def test_explain_missing_sidecar_exits_two(tmp_path, config_path, trained_dir, c
             str(tmp_path / "o"),
             "--checkpoint",
             str(lonely / "checkpoint.json"),
+        ]
+    )
+    assert code == 2
+    assert "sidecar" in capsys.readouterr().err
+
+
+BAD_NORMALIZATION = {
+    "zero_std": lambda mean, std: (mean, [0.0, *std[1:]]),
+    "negative_std": lambda mean, std: (mean, [-1.0, *std[1:]]),
+    "infinite_std": lambda mean, std: (mean, [math.inf, *std[1:]]),
+    "text_std": lambda mean, std: (mean, ["wide", *std[1:]]),
+    "short_std": lambda mean, std: (mean, std[:-1]),
+    "long_mean": lambda mean, std: ([*mean, 0.0], std),
+    "nan_mean": lambda mean, std: ([math.nan, *mean[1:]], std),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NORMALIZATION))
+def test_explain_bad_sidecar_normalization_exits_two(
+    tmp_path, config_path, trained_dir, capsys, case
+):
+    sidecar_path = trained_dir / "preprocess.json"
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    norm = sidecar["normalization"]
+    norm["mean"], norm["std"] = BAD_NORMALIZATION[case](norm["mean"], norm["std"])
+    sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(trained_dir / "checkpoint.json"),
         ]
     )
     assert code == 2

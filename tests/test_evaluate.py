@@ -11,6 +11,8 @@ from metagx.errors import DimensionError, MetricError
 from metagx.models import ModelConfig
 from metagx.training import MetaConfig
 
+from conftest import count_trainer_calls
+
 
 def ap_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     """Independent average precision: recount the confusion at every distinct
@@ -180,14 +182,22 @@ def test_cross_validate_plain_shapes_and_means():
     )
 
 
-def test_cross_validate_deterministic_and_parallel_equal():
+def test_cross_validate_deterministic():
     sources = [make_ds(f"s{i}", 24, 5, seed=10 + i) for i in range(2)]
     target = make_ds("t", 24, 5, seed=20)
     cfg = small_config()
     a = evaluate.cross_validate(sources, target, cfg, trainer="meta", k=3)
     b = evaluate.cross_validate(sources, target, cfg, trainer="meta", k=3)
-    c = evaluate.cross_validate(sources, target, cfg, trainer="meta", k=3, n_jobs=3)
-    assert a == b == c
+    assert a == b
+
+
+@pytest.mark.parametrize("trainer", evaluate.TRAINERS)
+def test_cross_validate_reaches_trainers_through_module_attributes(monkeypatch, trainer):
+    calls = count_trainer_calls(monkeypatch)
+    sources = [make_ds("s", 24, 5, seed=12)]
+    target = make_ds("t", 20, 5, seed=21)
+    evaluate.cross_validate(sources, target, small_config(), trainer=trainer, k=2)
+    assert calls == {f"train_{trainer}": 2}
 
 
 def test_cross_validate_gene_selection_and_interactions():

@@ -283,3 +283,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
         models.load_checkpoint(path)
     with pytest.raises(CheckpointError):
         models.load_checkpoint(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+def test_checkpoint_rejects_json_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match="JSON object"):
+        models.load_checkpoint(path)

@@ -258,11 +258,10 @@ def test_train_transfer_stages_and_plain_equivalence():
 
     p_tr, log_tr = training.train_transfer(cfg, sources, target)
     stages = [r.stage for r in log_tr.records]
-    assert "pretrain" in stages and "finetune" in stages
-    assert log_tr.events and log_tr.events[0][1] == "finetune_start"
     # pretraining sees 30 pooled samples: 2 epochs x 5 batches, then 2 x 2
-    assert stages.count("pretrain") == 10
-    assert stages.count("finetune") == 4
+    assert stages == ["pretrain"] * 10 + ["finetune"] * 4
+    assert [r.step for r in log_tr.records] == list(range(1, 15))
+    assert log_tr.records[10].epoch == 1  # fine-tuning counts its own epochs
 
     p_skip, _ = training.train_transfer(cfg, sources, target, pretrain_epochs=0)
     p_plain, _ = training.train_plain(cfg, target)
@@ -297,10 +296,10 @@ def test_meta_config_validation():
 def test_train_log_csv_format(tmp_path):
     log = training.TrainLog()
     log.append(1, 1, 0.5, 0.25, 0.375)
-    log.append(2, 1, 0.4)
+    log.append(2, 1, 0.4, stage="pretrain")
     path = tmp_path / "log.csv"
     log.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,epoch,loss_target,loss_source,loss_meta"
-    assert lines[1] == "1,1,0.5,0.25,0.375"
-    assert lines[2] == "2,1,0.4,,"
+    assert lines[0] == "step,epoch,loss_target,loss_source,loss_meta,stage"
+    assert lines[1] == "1,1,0.5,0.25,0.375,train"
+    assert lines[2] == "2,1,0.4,,,pretrain"
