@@ -167,6 +167,9 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
         node = nodes[nid]
         if g is None or node.vjp is None:
             continue
+        # each node is visited once, so its gradient and the activations its
+        # closure holds can be released as the sweep goes
+        grads[nid] = nodes[nid] = None
         for pid, pg in zip(node.parents, node.vjp(g)):
             if pid is None or pg is None:
                 continue
@@ -178,6 +181,9 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
         if g is None:
             g = np.zeros(nodes[nid].shape, dtype=np.float64)
         out[nid] = Tensor(np.asarray(g, dtype=np.float64))
+    # a consumed tape records nothing more; tensors that outlive it keep no
+    # activations alive
+    nodes.clear()
     return out
 
 
@@ -576,6 +582,10 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
 
     ``x`` is [channels, length] or [batch, channels, length]; ``w`` is
     [out_channels, in_channels, width]. Zero padding is applied to both ends.
+
+    Runs as im2col plus matmul: the windows are copied once into a column
+    matrix [batch, in_channels*width, out_length], so the forward pass and
+    both gradients are contiguous BLAS products.
     """
     x, w = _lift(x), _lift(w)
     if stride < 1:
@@ -598,22 +608,23 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         )
     xp = np.pad(x3, ((0, 0), (0, 0), (padding, padding))) if padding else x3
     windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=2)[:, :, ::stride]
-    out3 = np.einsum("bcjk,ock->boj", windows, w.data)
+    nb, out_len = xp.shape[0], windows.shape[2]
+    cols = windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len)
+    w2 = w.data.reshape(c_out, c_in * width)
+    out3 = w2 @ cols
     out = out3 if batched else out3[0]
 
     def make_vjp(needs):
-        out_len = out3.shape[2]
-
         def vjp(g):
             g3 = g if batched else g[np.newaxis]
             gx = gw = None
             if needs[1]:
-                gw = np.einsum("boj,bcjk->ock", g3, windows)
+                gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
             if needs[0]:
-                gwin = np.einsum("boj,ock->bcjk", g3, w.data)
+                gcols = (w2.T @ g3).reshape(nb, c_in, width, out_len)
                 gxp = np.zeros_like(xp)
                 for k in range(width):
-                    gxp[:, :, k : k + stride * out_len : stride] += gwin[:, :, :, k]
+                    gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
                 gx = gxp[:, :, padding : padding + length] if padding else gxp
                 if not batched:
                     gx = gx[0]
@@ -639,9 +650,14 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
     length = x3.shape[2]
     if length < size:
         raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
-    windows = np.lib.stride_tricks.sliding_window_view(x3, size, axis=2)[:, :, ::stride]
-    out3 = windows.max(axis=3)
-    arg = windows.argmax(axis=3)
+    # one strided slice per window offset k holds element k of every window
+    span = (length - size) // stride * stride + 1
+    out3 = x3[:, :, 0:span:stride].copy()
+    arg = np.zeros(out3.shape, dtype=np.intp)
+    for k in range(1, size):
+        cand = x3[:, :, k : k + span : stride]
+        np.copyto(arg, k, where=cand > out3)
+        np.maximum(out3, cand, out=out3)
     out = out3 if batched else out3[0]
 
     def make_vjp(needs):
@@ -649,11 +665,11 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
 
         def vjp(g):
             g3 = g if batched else g[np.newaxis]
-            gx = np.zeros_like(x3)
-            pos = np.arange(nw) * stride + arg
-            bidx = np.arange(nb)[:, None, None]
-            cidx = np.arange(nc)[None, :, None]
-            np.add.at(gx, (bidx, cidx, pos), g3)
+            # flat index of each window's maximum; bincount sums repeated picks
+            rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
+            flat = rows + np.arange(nw) * stride + arg
+            gx = np.bincount(flat.ravel(), weights=g3.ravel(), minlength=x3.size)
+            gx = gx.reshape(x3.shape)
             return (gx if batched else gx[0],)
 
         return vjp

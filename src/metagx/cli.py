@@ -264,13 +264,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_inputs(
-    cfg: RunConfig, need_target: bool = True
-) -> tuple[list[ExpressionDataset], ExpressionDataset | None, GeneInteractionSet | None]:
-    if need_target and cfg.target is None:
+def _load_target(cfg: RunConfig) -> ExpressionDataset:
+    if cfg.target is None:
         raise ConfigError("no target dataset configured (set [data] target)")
+    return load_expression_tsv(cfg.target)
+
+
+def _load_inputs(
+    cfg: RunConfig,
+) -> tuple[list[ExpressionDataset], ExpressionDataset, GeneInteractionSet | None]:
+    target = _load_target(cfg)
     sources = [load_expression_tsv(p) for p in cfg.sources]
-    target = load_expression_tsv(cfg.target) if cfg.target is not None else None
     inter = load_interactions_tsv(cfg.interactions) if cfg.interactions else None
     return sources, target, inter
 
@@ -462,8 +466,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"preprocessing sidecar {sidecar_path} must give one finite mean and one "
             "finite, positive std per gene"
         )
-    _, target, _ = _load_inputs(cfg)
-    target_p = project(target, genes)
+    target_p = project(_load_target(cfg), genes)
     matrix = (target_p.matrix - mean) / std
     n_samples = min(args.samples, target_p.n_samples)
     out = _out_dir(cfg)

@@ -179,38 +179,46 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> A
     return rng.uniform(-bound, bound, size=shape)
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in canonical name order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if config.architecture == "mlp":
+        fan_in = config.input_dim
+        for i, width in enumerate(config.hidden_dims):
+            shapes[f"hidden.{i}.weight"] = (width, fan_in)
+            shapes[f"hidden.{i}.bias"] = (width,)
+            fan_in = width
+        shapes["output.weight"] = (1, fan_in)
+    elif config.architecture == "cnn":
+        c = config.channels
+        in_ch = 1
+        for i in range(config.conv_layers):
+            shapes[f"conv.{i}.weight"] = (c, in_ch, config.kernel_size)
+            in_ch = c
+        shapes["output.weight"] = (1, c * conv_output_length(config))
+    else:
+        d = config.embed_dim
+        shapes["token.weight"] = (d, token_chunk(config))
+        for name in ("query.weight", "key.weight", "value.weight"):
+            shapes[name] = (d, d)
+        shapes["output.weight"] = (1, d)
+    return shapes
+
+
 def init_model(config: ModelConfig, seed: int) -> ModelParams:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero.
 
+    A weight's fan-in is the product of its shape after the first axis.
     Arrays are drawn in canonical name order, so equal (config, seed) pairs
     produce bitwise-equal parameters.
     """
     rng = np.random.default_rng(seed)
     arrays: dict[str, Array] = {}
-    if config.architecture == "mlp":
-        fan_in = config.input_dim
-        for i, width in enumerate(config.hidden_dims):
-            arrays[f"hidden.{i}.weight"] = _uniform(rng, (width, fan_in), fan_in)
-            arrays[f"hidden.{i}.bias"] = np.zeros(width)
-            fan_in = width
-        arrays["output.weight"] = _uniform(rng, (1, fan_in), fan_in)
-    elif config.architecture == "cnn":
-        c = config.channels
-        k = config.kernel_size
-        in_ch = 1
-        for i in range(config.conv_layers):
-            fan_in = in_ch * k
-            arrays[f"conv.{i}.weight"] = _uniform(rng, (c, in_ch, k), fan_in)
-            in_ch = c
-        flat = c * conv_output_length(config)
-        arrays["output.weight"] = _uniform(rng, (1, flat), flat)
-    else:
-        chunk = token_chunk(config)
-        d = config.embed_dim
-        arrays["token.weight"] = _uniform(rng, (d, chunk), chunk)
-        for name in ("query.weight", "key.weight", "value.weight"):
-            arrays[name] = _uniform(rng, (d, d), d)
-        arrays["output.weight"] = _uniform(rng, (1, d), d)
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".bias"):
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = _uniform(rng, shape, math.prod(shape[1:]))
     return ModelParams(arrays)
 
 
@@ -356,4 +364,18 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: {exc}") from None
+    expected = param_shapes(config)
+    missing = sorted(expected.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint {path} parameters do not match its config: "
+            f"missing {missing}, unexpected {extra}"
+        )
+    for name, arr in arrays.items():
+        if arr.shape != expected[name]:
+            raise CheckpointError(
+                f"checkpoint {path} parameter {name!r} has shape {arr.shape}, "
+                f"the config needs {expected[name]}"
+            )
     return ModelParams(arrays), config

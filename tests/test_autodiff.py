@@ -1,6 +1,8 @@
 """Tape engine: forward values against numpy, gradients against finite differences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +138,75 @@ def test_bce_loss_validates_inputs():
         ad.bce_loss(ad.Tensor([0.5]), ad.Tensor([0.5]))
     with pytest.raises(DimensionError):
         ad.bce_loss(ad.Tensor([[0.5]]), ad.Tensor([[1.0]]))
+
+
+def conv1d_loop_oracle(x, w, stride, padding, g):
+    """conv1d output and the gradients of sum(out * g), by plain loops."""
+    nb, c_in, length = x.shape
+    c_out, _, width = w.shape
+    xp = np.zeros((nb, c_in, length + 2 * padding))
+    xp[:, :, padding : padding + length] = x
+    out_len = (length + 2 * padding - width) // stride + 1
+    out = np.zeros((nb, c_out, out_len))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(nb):
+        for o in range(c_out):
+            for j in range(out_len):
+                for c in range(c_in):
+                    for k in range(width):
+                        i = j * stride + k
+                        out[b, o, j] += w[o, c, k] * xp[b, c, i]
+                        gw[o, c, k] += g[b, o, j] * xp[b, c, i]
+                        gxp[b, c, i] += g[b, o, j] * w[o, c, k]
+    return out, gxp[:, :, padding : padding + length], gw
+
+
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding",
+    [
+        ((3, 9), (2, 3, 3), 1, 1),  # unbatched
+        ((2, 1, 12), (4, 1, 3), 1, 1),  # one input channel
+        ((2, 3, 17), (2, 3, 2), 3, 0),  # stride > width
+        ((2, 2, 6), (3, 2, 3), 2, 4),  # padding >= width
+    ],
+)
+def test_conv1d_matches_loop_oracle(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(sum(x_shape) + stride + padding)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    x3 = x if x.ndim == 3 else x[np.newaxis]
+    out_len = (x_shape[-1] + 2 * padding - w_shape[2]) // stride + 1
+    g3 = rng.standard_normal((x3.shape[0], w_shape[0], out_len))
+    g = g3 if x.ndim == 3 else g3[0]
+    want_out, want_gx, want_gw = conv1d_loop_oracle(x3, w, stride, padding, g3)
+    if x.ndim == 2:
+        want_out, want_gx = want_out[0], want_gx[0]
+
+    tape = ad.Tape()
+    xt, wt = tape.watch(x), tape.watch(w)
+    out = ad.conv1d(xt, wt, stride=stride, padding=padding)
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+    np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[xt.node].data, want_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[wt.node].data, want_gw, rtol=0, atol=1e-12)
+
+
+def test_max_pool1d_overlapping_windows_with_ties():
+    # size 3, stride 1 windows: [1 5 5] [5 5 2] [5 2 5] [2 5 0]
+    # first maxima at positions 1, 1, 2, 4
+    x = np.array([[1.0, 5.0, 5.0, 2.0, 5.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    g = np.array([[1.0, 10.0, 100.0, 1000.0], [1.0, 2.0, 4.0, 8.0]])
+    tape = ad.Tape()
+    leaf = tape.watch(x[np.newaxis])
+    out = ad.max_pool1d(leaf, size=3, stride=1)
+    np.testing.assert_array_equal(out.data, [[[5.0] * 4, [0.0] * 4]])
+    grad = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g[np.newaxis]))))[leaf.node].data
+    # a position picked by several windows gets the sum of their gradients
+    np.testing.assert_array_equal(
+        grad[0],
+        [[0.0, 11.0, 100.0, 0.0, 1000.0, 0.0], [1.0, 2.0, 4.0, 8.0, 0.0, 0.0]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +351,38 @@ def test_mixed_tapes_rejected():
 def test_constants_do_not_record():
     out = ad.mean(ad.mul(ad.Tensor([1.0, 2.0]), 3.0))
     assert out.tape is None and out.node is None
+
+
+def _conv_pool_probe(tape):
+    """Record conv1d then max_pool1d; returns the pooled tensor and a weak
+    reference to the conv output, which only the pool's VJP keeps alive."""
+    rng = np.random.default_rng(41)
+    x = tape.watch(rng.standard_normal((2, 3, 10)))
+    w = tape.watch(rng.standard_normal((4, 3, 3)))
+    h = ad.conv1d(x, w, stride=1, padding=1)
+    return ad.max_pool1d(h, 2, 2), weakref.ref(h.data)
+
+
+def test_backward_releases_recorded_activations():
+    tape = ad.Tape()
+    pooled, probe = _conv_pool_probe(tape)
+    loss = ad.mean(pooled)
+    del pooled
+    assert probe() is not None
+    ad.backward(loss)
+    # the loss still references the tape, but the tape holds no activations
+    assert probe() is None
+
+
+def test_dropped_tape_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        pooled, probe = _conv_pool_probe(tape)
+        del tape, pooled
+        # no VJP closure refers back to its tape, so reference counting alone
+        # frees a tape that never ran backward
+        assert probe() is None
+    finally:
+        gc.enable()

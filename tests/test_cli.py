@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagx import cli
 from metagx.cli import (
     DEFAULT_LAMBDAS,
     SECTION_FIELDS,
@@ -784,3 +785,81 @@ def test_explain_bad_sidecar_normalization_exits_two(
     )
     assert code == 2
     assert "sidecar" in capsys.readouterr().err
+
+
+def test_explain_parses_only_the_target(tmp_path, family_dir, trained_dir, monkeypatch):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        "[data]\n"
+        f"sources = {tmp_path / 'no_such_source.tsv'}, {family_dir / 'synth_source_0.tsv'}\n"
+        f"target = {family_dir / 'synth_target.tsv'}\n"
+        f"interactions = {tmp_path / 'no_such_pairs.tsv'}\n",
+        encoding="utf-8",
+    )
+    parsed = []
+
+    def counted(path):
+        parsed.append(Path(path).name)
+        return load_expression_tsv(path)
+
+    monkeypatch.setattr(cli, "load_expression_tsv", counted)
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(cfg_file),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(trained_dir / "checkpoint.json"),
+            "--samples",
+            "1",
+            "--permutations",
+            "5",
+        ]
+    )
+    assert code == 0
+    assert parsed == ["synth_target.tsv"]
+
+
+def test_explain_without_target_exits_two(tmp_path, family_dir, trained_dir, capsys):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        f"[data]\nsources = {family_dir / 'synth_source_0.tsv'}\n", encoding="utf-8"
+    )
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(cfg_file),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(trained_dir / "checkpoint.json"),
+        ]
+    )
+    assert code == 2
+    assert "no target dataset configured" in capsys.readouterr().err
+
+
+def test_explain_checkpoint_with_wrong_param_shape_exits_two(
+    tmp_path, config_path, trained_dir, capsys
+):
+    path = trained_dir / "checkpoint.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # one bias value broadcasts over the layer, so only the load check catches it
+    doc["params"]["hidden.0.bias"] = {"shape": [1], "data": "AAAAAAAAAAA="}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(path),
+        ]
+    )
+    assert code == 2
+    assert "hidden.0.bias" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Architectures: initialization, forward oracles, gradients, checkpoints."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -290,4 +293,44 @@ def test_checkpoint_rejects_json_that_is_not_an_object(tmp_path, text):
     path = tmp_path / "model.json"
     path.write_text(text)
     with pytest.raises(CheckpointError, match="JSON object"):
+        models.load_checkpoint(path)
+
+
+def _set_param(doc, name, arr):
+    doc["params"][name] = {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+    }
+    if name not in doc["param_order"]:
+        doc["param_order"].append(name)
+
+
+def _drop_param(doc, name):
+    del doc["params"][name]
+    doc["param_order"].remove(name)
+
+
+BAD_PARAMS = {
+    # a (1,) bias broadcasts in forward_mlp and used to load as a wrong model
+    "broadcastable_bias": (lambda d: _set_param(d, "hidden.0.bias", np.zeros(1)), "shape"),
+    "transposed_weight": (
+        lambda d: _set_param(d, "hidden.0.weight", np.zeros((12, 8))), "shape"
+    ),
+    "missing": (lambda d: _drop_param(d, "output.weight"), "output.weight"),
+    "extra": (lambda d: _set_param(d, "hidden.9.bias", np.zeros(3)), "hidden.9.bias"),
+    # checked from the config alone, without allocating the model it describes
+    "huge_input_dim": (lambda d: d["config"].update(input_dim=10**12), "shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_checkpoint_rejects_params_that_do_not_match_config(tmp_path, case):
+    cfg = models.ModelConfig("mlp", input_dim=12, hidden_dims=(8, 4))
+    path = tmp_path / "model.json"
+    models.save_checkpoint(path, models.init_model(cfg, seed=0), cfg)
+    edit, message = BAD_PARAMS[case]
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=message):
         models.load_checkpoint(path)
