@@ -508,12 +508,10 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     a = _lift(a)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    nonneg = a.data >= 0
-    out = np.where(nonneg, a.data, slope * a.data)
+    factor = np.where(a.data >= 0, 1.0, slope)
+    out = a.data * factor
 
     def make_vjp(needs):
-        factor = np.where(nonneg, 1.0, slope)
-
         def vjp(g):
             return (g * factor,)
 

@@ -166,7 +166,10 @@ def _frozen_int(arr) -> Array:
 
 
 def _read_lines(path: Path | str, what: str) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not valid UTF-8 ({exc.reason})") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -207,20 +210,30 @@ def load_expression_tsv(path: Path | str) -> ExpressionDataset:
         cells = line.split("\t")
         if len(cells) != n_cols:
             raise ParseError(f"{path}:{i}: expected {n_cols} columns, got {len(cells)}")
-        for j, cell in enumerate(cells[1:-1]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{i}: column {genes[j]!r} has non-numeric value {cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ParseError(f"{path}:{i}: column {genes[j]!r} has non-finite value {cell!r}")
-            rows[i - 2, j] = value
+        values = cells[1:-1]
+        try:
+            rows[i - 2] = list(map(float, values))
+        except ValueError:
+            raise _bad_cell(path, i, genes, values) from None
+        if not np.isfinite(rows[i - 2]).all():
+            raise _bad_cell(path, i, genes, values)
         if cells[-1] not in ("0", "1"):
             raise ParseError(f"{path}:{i}: label must be 0 or 1, got {cells[-1]!r}")
         labels[i - 2] = float(cells[-1])
     return ExpressionDataset(path.stem, tuple(genes), rows, labels)
+
+
+def _bad_cell(path: Path, line_no: int, genes: list[str], cells: list[str]) -> ParseError:
+    """The error for the leftmost cell of a row that ``float()`` rejects or
+    parses to a non-finite value; the row must hold such a cell."""
+    for gene, cell in zip(genes, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"{path}:{line_no}: column {gene!r} has non-numeric value {cell!r}")
+        if not np.isfinite(value):
+            return ParseError(f"{path}:{line_no}: column {gene!r} has non-finite value {cell!r}")
+    raise AssertionError(f"{path}:{line_no}: row has no bad cell")
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path: Path | str) -> None:

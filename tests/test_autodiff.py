@@ -64,6 +64,16 @@ def test_leaky_relu_forward():
         ad.leaky_relu(x, slope=1.5)
 
 
+def test_leaky_relu_bitwise_on_special_values():
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([-0.0, 0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e308, -1e308, -1.5, 3.25])
+    for slope in (0.01, 0.2):
+        got = ad.leaky_relu(ad.Tensor(x), slope=slope).data
+        assert got.tobytes() == np.where(x >= 0, x, slope * x).tobytes()
+    grad = tape_grad(lambda t: ad.mean(ad.leaky_relu(t, 0.2)), np.array([0.0, -0.0, -1.0, 2.0]))
+    np.testing.assert_array_equal(grad * 4, [1.0, 1.0, 0.2, 1.0])
+
+
 def test_sigmoid_extremes_stay_finite_and_ordered():
     y = ad.sigmoid(ad.Tensor([-50.0, 0.0, 50.0])).data
     assert 0.0 <= y[0] < 1e-20

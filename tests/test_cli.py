@@ -320,6 +320,20 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["target", "interactions"])
+def test_preprocess_non_utf8_input_names_the_file(tmp_path, family_dir, capsys, key):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("sample_id\tA\tlabel\ns1\t\u00e9\t0\n".encode("latin-1"))
+    files = {"target": family_dir / "synth_target.tsv", key: bad}
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        "[data]\n" + "".join(f"{k} = {v}\n" for k, v in files.items()), encoding="utf-8"
+    )
+    code = main(["preprocess", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"file {bad} is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_bad_trainer_in_config_exits_two(tmp_path, family_dir, capsys):
     cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="bogus")
     code = main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])

@@ -1,7 +1,12 @@
 """File formats, gene selection, normalization, and fold construction."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metagx import data
 from metagx.errors import ParseError, ScaleError, SelectionError, SplitError
@@ -80,6 +85,90 @@ def test_expression_loader_rejects_non_finite(tmp_path):
     path.write_text("sample_id\tA\tlabel\ns1\tinf\t0\n", encoding="utf-8")
     with pytest.raises(ParseError, match="non-finite"):
         data.load_expression_tsv(path)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.5e-05, 2.5e+300, 1e16]
+
+
+@settings(deadline=None)
+@given(
+    matrix=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(matrix=np.array([SPECIAL_VALUES]))
+@example(matrix=np.array([SPECIAL_VALUES[::-1], SPECIAL_VALUES]))
+def test_expression_round_trip_is_bitwise(tmp_path_factory, matrix):
+    labels = np.arange(matrix.shape[0]) % 2
+    genes = tuple(f"G{j}" for j in range(matrix.shape[1]))
+    ds = data.ExpressionDataset("d", genes, matrix, labels)
+    path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+    data.write_expression_tsv(ds, path)
+    back = data.load_expression_tsv(path)
+    assert back.gene_ids == genes
+    assert back.matrix.tobytes() == ds.matrix.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cells, reported",
+    [
+        (("1.0", "nan", "oops"), "'B' has non-finite value 'nan'"),
+        (("1.0", "oops", "nan"), "'B' has non-numeric value 'oops'"),
+        (("1e999", "x"), "'A' has non-finite value '1e999'"),
+        (("x", "-inf"), "'A' has non-numeric value 'x'"),
+    ],
+)
+def test_expression_loader_reports_leftmost_bad_cell(tmp_path, cells, reported):
+    genes = "ABC"[: len(cells)]
+    path = tmp_path / "bad.tsv"
+    path.write_text(
+        "sample_id\t" + "\t".join(genes) + "\tlabel\n"
+        + "s1\t" + "\t".join("1" for _ in genes) + "\t0\n"
+        + "s2\t" + "\t".join(cells) + "\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as err:
+        data.load_expression_tsv(path)
+    assert str(err.value) == f"{path}:3: column {reported}"
+
+
+@pytest.mark.parametrize("cell", ["inf", "oops"])
+def test_expression_loader_reports_bad_cell_before_later_ragged_row(tmp_path, cell):
+    path = tmp_path / "bad.tsv"
+    path.write_text(
+        "sample_id\tA\tB\tlabel\n"
+        f"s1\t1.0\t{cell}\t0\n"
+        "s2\t1.0\t2.0\t1\n"
+        "s3\t1.0\t2.0\t0\n"
+        "s4\t1.0\t0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=rf"bad\.tsv:2: column 'B' has non-\w+ value '{cell}'"):
+        data.load_expression_tsv(path)
+
+
+def test_expression_loader_accepts_what_float_accepts(tmp_path):
+    path = tmp_path / "ok.tsv"
+    path.write_text("sample_id\tA\tB\tC\tlabel\ns1\t1_000\t 2.5 \t1E3\t1\n", encoding="utf-8")
+    back = data.load_expression_tsv(path)
+    assert back.matrix.tolist() == [[1000.0, 2.5, 1000.0]]
+
+
+@pytest.mark.parametrize(
+    "load, body",
+    [
+        (data.load_expression_tsv, b"sample_id\tA\tlabel\ns1\t\xff\t0\n"),
+        (data.load_interactions_tsv, b"A\tB\n\xffC\tD\n"),
+    ],
+)
+def test_loaders_name_a_file_that_is_not_utf8(tmp_path, load, body):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(body)
+    with pytest.raises(ParseError, match=re.escape(f"file {path} is not valid UTF-8")):
+        load(path)
 
 
 def test_dataset_validation():
