@@ -528,6 +528,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI run configuration file")
@@ -562,9 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", parents=[common], help="Shapley attributions for a checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint.json from `metagx train`")
-    p.add_argument("--samples", type=int, default=5, help="how many target rows to explain")
-    p.add_argument("--permutations", type=int, default=2000, help="permutations per sample")
-    p.add_argument("--top-k", type=int, default=20, help="ranking length")
+    p.add_argument("--samples", type=_positive_int, default=5, help="how many target rows to explain")
+    p.add_argument("--permutations", type=_positive_int, default=2000, help="permutations per sample")
+    p.add_argument("--top-k", type=_positive_int, default=20, help="ranking length")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic task family")

@@ -167,9 +167,18 @@ def _frozen_int(arr) -> Array:
 
 def _read_lines(path: Path | str, what: str) -> list[str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # newline="" keeps \r as read, so that it can be reported below
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not valid UTF-8 ({exc.reason})") from None
+    cr = text.find("\r")
+    if cr >= 0:
+        line = text.count("\n", 0, cr) + 1
+        raise ParseError(
+            f"{path}:{line}: carriage return (\\r) in {what} file; "
+            "lines must end in a Unix newline (\\n) only"
+        )
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

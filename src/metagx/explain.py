@@ -26,6 +26,8 @@ Array = np.ndarray
 
 _EXACT_MAX_FEATURES = 16
 _PERM_BLOCK = 2048
+# Model rows per call; whole permutations (d + 1 rows each), at least one.
+_ROW_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,9 @@ def shapley_sampled(
     Each sampled permutation adds features one by one, crediting every
     feature with the model-output change it causes on arrival; the estimate
     is the mean over permutations. Deterministic for a fixed seed.
+
+    The model sees whole permutations, at most ``max(1024, d + 1)`` rows per
+    call, so memory does not grow with ``n_permutations``.
     """
     background, sample = _check_inputs(background, sample)
     if n_permutations < 1:
@@ -160,19 +165,22 @@ def shapley_sampled(
 
     rng = np.random.default_rng(seed)
     phi = np.zeros(d)
+    arrivals = np.arange(d + 1)[:, None]
+    step = max(1, _ROW_BUDGET // (d + 1))
     remaining = n_permutations
     while remaining > 0:
         block = min(_PERM_BLOCK, remaining)
         remaining -= block
         perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
-        # position[b, f] = arrival index of feature f in permutation b
-        position = np.argsort(perms, axis=1)
-        # masks[b, j, f]: feature f present after j arrivals (j = 0..d)
-        masks = position[:, None, :] < np.arange(d + 1)[None, :, None]
-        inputs = np.where(masks, sample, base).reshape(block * (d + 1), d)
-        values = np.asarray(fn(inputs), dtype=np.float64).reshape(block, d + 1)
-        gains = np.diff(values, axis=1)
-        np.add.at(phi, perms.ravel(), gains.ravel())
+        for start in range(0, block, step):
+            chunk = perms[start : start + step]
+            # position[b, f] = arrival index of feature f in permutation b;
+            # row j of a permutation holds the features of its first j arrivals
+            position = np.argsort(chunk, axis=1)
+            inputs = np.where(position[:, None, :] < arrivals, sample, base)
+            values = np.asarray(fn(inputs.reshape(-1, d)), dtype=np.float64)
+            gains = np.diff(values.reshape(len(chunk), d + 1), axis=1)
+            np.add.at(phi, chunk.ravel(), gains.ravel())
     phi /= n_permutations
     return Attribution(
         gene_ids=_gene_ids(gene_ids, d),

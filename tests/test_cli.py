@@ -747,6 +747,36 @@ def test_explain_zero_permutations_exits_two(tmp_path, config_path, trained_dir,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--samples", "0"), ("--permutations", "0"), ("--top-k", "0"), ("--top-k", "-1")],
+)
+def test_explain_count_flag_below_one_exits_two_before_any_work(
+    tmp_path, config_path, trained_dir, capsys, monkeypatch, flag, value
+):
+    def no_checkpoint(path):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_checkpoint)
+    out = tmp_path / "o"
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(config_path),
+            "--out",
+            str(out),
+            "--checkpoint",
+            str(trained_dir / "checkpoint.json"),
+            flag,
+            value,
+        ]
+    )
+    assert code == 2
+    assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+    assert not list(out.glob("attribution_*.csv"))
+
+
 def test_explain_missing_sidecar_exits_two(tmp_path, config_path, trained_dir, capsys):
     lonely = tmp_path / "lonely"
     lonely.mkdir()

@@ -171,6 +171,22 @@ def test_loaders_name_a_file_that_is_not_utf8(tmp_path, load, body):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "load, body, line",
+    [
+        (data.load_expression_tsv, "sample_id\tA\tlabel\r\ns1\t1.5\t1\r\n", 1),
+        (data.load_expression_tsv, "sample_id\tA\tlabel\ns1\t1.5\r1\n", 2),
+        (data.load_interactions_tsv, "# pairs\nA\tB\r\nC\tD\r\n", 2),
+        (data.load_interactions_tsv, "A\tB\nC\tD\n\rE\tF\n", 3),
+    ],
+)
+def test_loaders_reject_carriage_returns(tmp_path, load, body, line):
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(body.encode("utf-8"))
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: carriage return")):
+        load(path)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="duplicates"):
         data.ExpressionDataset("d", ("A", "A"), np.ones((2, 2)), np.zeros(2))

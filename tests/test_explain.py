@@ -1,5 +1,7 @@
 """Shapley attribution: linear closed form, axioms, sampling convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,79 @@ def test_csv_exports(tmp_path):
     lines = p2.read_text().splitlines()
     assert lines[0] == "gene_id,mean_abs_shap"
     assert lines[1] == "g2,0.5"
+
+
+def _streamed_and_one_shot(monkeypatch, model, config, background, sample, budget):
+    # a budget larger than any block reproduces the one-shot evaluation
+    monkeypatch.setattr(explain, "_ROW_BUDGET", 10**12)
+    one_shot = explain.shapley_sampled(model, config, background, sample, 2100, seed=14)
+    monkeypatch.setattr(explain, "_ROW_BUDGET", budget)
+    streamed = explain.shapley_sampled(model, config, background, sample, 2100, seed=14)
+    return streamed, one_shot
+
+
+def _row_scorer(matrix):
+    # elementwise only, so a row's score cannot depend on the batch height
+    x = matrix.T
+    return np.sin(x[0] * x[1]) + x[2] ** 3 - np.exp(x[3] * x[4])
+
+
+# one permutation a call; three, so that a 2048-permutation block ends ragged
+@pytest.mark.parametrize("budget", [1, 21])
+def test_streamed_estimate_equals_one_shot_for_black_box(monkeypatch, budget):
+    rng = np.random.default_rng(15)
+    background = rng.standard_normal((10, 6))
+    streamed, one_shot = _streamed_and_one_shot(
+        monkeypatch, _row_scorer, None, background, background[0], budget
+    )
+    np.testing.assert_array_equal(streamed.values, one_shot.values)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig("mlp", input_dim=9, hidden_dims=(8, 4)),
+        ModelConfig("cnn", input_dim=9, channels=4),
+        ModelConfig("transformer", input_dim=9, embed_dim=8, tokens=3),
+    ],
+    ids=lambda cfg: cfg.architecture,
+)
+def test_streamed_estimate_matches_one_shot_for_models(monkeypatch, config):
+    # BLAS row results may depend on the batch height, hence the tolerance
+    params = init_model(config, seed=16)
+    background = np.random.default_rng(17).standard_normal((10, 9))
+    for budget in (1, 30):
+        streamed, one_shot = _streamed_and_one_shot(
+            monkeypatch, params, config, background, background[1], budget
+        )
+        assert np.max(np.abs(streamed.values - one_shot.values)) <= 1e-15
+
+
+@pytest.mark.parametrize("budget", [None, 1, 100])
+def test_model_never_sees_more_rows_than_the_budget(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(explain, "_ROW_BUDGET", budget)
+    d = 30
+    calls = []
+
+    def scorer(matrix):
+        calls.append(matrix.shape[0])
+        return matrix.sum(axis=1)
+
+    background = np.random.default_rng(18).standard_normal((5, d))
+    explain.shapley_sampled(scorer, None, background, background[0], 2100, seed=19)
+    assert max(calls) <= max(explain._ROW_BUDGET, d + 1)
+    assert sum(calls) == 2 + 2100 * (d + 1)  # base value, prediction, every coalition
+
+
+def test_sampled_peak_memory_is_bounded_at_panel_size():
+    config = ModelConfig("mlp", input_dim=695)
+    params = init_model(config, seed=20)
+    background = np.random.default_rng(21).standard_normal((20, 695))
+    tracemalloc.start()
+    try:
+        explain.shapley_sampled(params, config, background, background[0], 50, seed=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
