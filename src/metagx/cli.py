@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -492,19 +493,30 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+# SynthSpec field -> the `metagx synth` flag that sets it
+_SYNTH_FLAGS = {
+    "n_sources": "--sources",
+    "source_samples": "--source-samples",
+    "target_samples": "--target-samples",
+    "n_features": "--features",
+    "signal_dims": "--signal-dims",
+    "perturbation": "--perturbation",
+    "label_noise": "--noise",
+    "class_balance": "--balance",
+}
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    spec = SynthSpec(
-        n_sources=args.sources,
-        source_samples=args.source_samples,
-        target_samples=args.target_samples,
-        n_features=args.features,
-        signal_dims=args.signal_dims,
-        perturbation=args.perturbation,
-        label_noise=args.noise,
-        class_balance=args.balance,
-        seed=cfg.seed,
-    )
+    values = {
+        field: getattr(args, flag[2:].replace("-", "_")) for field, flag in _SYNTH_FLAGS.items()
+    }
+    try:
+        spec = SynthSpec(**values, seed=cfg.seed)
+    except ValueError as exc:
+        # SynthSpec names its fields; report the flags the user typed
+        fields_re = r"\b(" + "|".join(_SYNTH_FLAGS) + r")\b"
+        raise ValueError(re.sub(fields_re, lambda m: _SYNTH_FLAGS[m[1]], str(exc))) from None
     sources, target = generate_task_family(spec)
     out = _out_dir(cfg)
     manifest: dict = {

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ModelConfig, ModelParams, predict
+from .autodiff import Tensor
+from .models import ModelConfig, ModelParams, forward_mlp_tail, predict
 
 Array = np.ndarray
 
@@ -136,6 +137,46 @@ def shapley_exact(
     )
 
 
+def _hybrid_values(fn: Callable[[Array], Array], base: Array, sample: Array):
+    """Generic path: build every hybrid row of a permutation batch and score
+    them with ``fn``; returns ``perms -> [c, d + 1]`` values."""
+    d = base.shape[0]
+    arrivals = np.arange(d + 1)[:, None]
+
+    def values(perms: Array) -> Array:
+        # position[b, f] = arrival index of feature f in permutation b;
+        # row j of a permutation holds the features of its first j arrivals
+        position = np.argsort(perms, axis=1)
+        inputs = np.where(position[:, None, :] < arrivals, sample, base)
+        out = np.asarray(fn(inputs.reshape(-1, d)), dtype=np.float64)
+        return out.reshape(len(perms), d + 1)
+
+    return values
+
+
+def _mlp_values(params: ModelParams, config: ModelConfig, base: Array, sample: Array):
+    """MLP path: the first layer is affine, so the arrival of feature f adds
+    ``(sample[f] - base[f]) * W0[:, f]`` to the pre-activations. Row j of a
+    permutation is the base row's pre-activations plus a cumsum of its first
+    j arrivals' steps; only the layers after the first run per row."""
+    w = params["hidden.0.weight"]
+    base_pre = base[None, :] @ w.T + params["hidden.0.bias"]
+    # [d, hidden], C order so that a permutation gathers whole rows
+    steps = np.ascontiguousarray((sample - base)[:, None] * w.T)
+    tensors = params.constants()
+
+    def values(perms: Array) -> Array:
+        c, d = perms.shape
+        pre = np.empty((c, d + 1, w.shape[0]))
+        pre[:, 0] = 0.0
+        np.cumsum(steps[perms], axis=1, out=pre[:, 1:])
+        pre += base_pre
+        out = forward_mlp_tail(tensors, config, Tensor(pre.reshape(c * (d + 1), -1)))
+        return out.data.reshape(c, d + 1)
+
+    return values
+
+
 def shapley_sampled(
     model,
     config: ModelConfig | None,
@@ -151,8 +192,12 @@ def shapley_sampled(
     feature with the model-output change it causes on arrival; the estimate
     is the mean over permutations. Deterministic for a fixed seed.
 
-    The model sees whole permutations, at most ``max(1024, d + 1)`` rows per
-    call, so memory does not grow with ``n_permutations``.
+    An MLP never sees the hybrid rows: each row's first-layer
+    pre-activations are the base row's plus a running sum of per-feature
+    column steps, and only the later layers run. Any other model scores the
+    hybrid rows through ``predict`` (or the callable). Either way whole
+    permutations are evaluated, at most ``max(1024, d + 1)`` rows per call,
+    so memory does not grow with ``n_permutations``.
     """
     background, sample = _check_inputs(background, sample)
     if n_permutations < 1:
@@ -162,10 +207,13 @@ def shapley_sampled(
     base = background.mean(axis=0)
     base_value = float(np.asarray(fn(base[None, :]))[0])
     prediction = float(np.asarray(fn(sample[None, :]))[0])
+    if config is not None and config.architecture == "mlp":
+        coalition_values = _mlp_values(model, config, base, sample)
+    else:
+        coalition_values = _hybrid_values(fn, base, sample)
 
     rng = np.random.default_rng(seed)
     phi = np.zeros(d)
-    arrivals = np.arange(d + 1)[:, None]
     step = max(1, _ROW_BUDGET // (d + 1))
     remaining = n_permutations
     while remaining > 0:
@@ -174,12 +222,7 @@ def shapley_sampled(
         perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
         for start in range(0, block, step):
             chunk = perms[start : start + step]
-            # position[b, f] = arrival index of feature f in permutation b;
-            # row j of a permutation holds the features of its first j arrivals
-            position = np.argsort(chunk, axis=1)
-            inputs = np.where(position[:, None, :] < arrivals, sample, base)
-            values = np.asarray(fn(inputs.reshape(-1, d)), dtype=np.float64)
-            gains = np.diff(values.reshape(len(chunk), d + 1), axis=1)
+            gains = np.diff(coalition_values(chunk), axis=1)
             np.add.at(phi, chunk.ravel(), gains.ravel())
     phi /= n_permutations
     return Attribution(

@@ -250,8 +250,18 @@ def _head(config: ModelConfig, features: Tensor, weight: Tensor) -> Tensor:
 def forward_mlp(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:
     """Fully connected stack: affine + leaky-relu per hidden layer, sigmoid head."""
     _check_batch(config, batch)
-    h = batch
-    for i in range(len(config.hidden_dims)):
+    w = _require(tensors, "hidden.0.weight")
+    b = _require(tensors, "hidden.0.bias")
+    return forward_mlp_tail(tensors, config, ad.add(ad.matmul(batch, ad.transpose(w)), b))
+
+
+def forward_mlp_tail(
+    tensors: Mapping[str, Tensor], config: ModelConfig, pre: Tensor
+) -> Tensor:
+    """The MLP after its first affine layer: from the [n, hidden_dims[0]]
+    pre-activations through leaky-relu, hidden layers 1.. and the head."""
+    h = ad.leaky_relu(pre, config.leaky_slope)
+    for i in range(1, len(config.hidden_dims)):
         w = _require(tensors, f"hidden.{i}.weight")
         b = _require(tensors, f"hidden.{i}.bias")
         h = ad.leaky_relu(ad.add(ad.matmul(h, ad.transpose(w)), b), config.leaky_slope)

@@ -43,8 +43,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_sources < 1:
             raise ValueError(f"n_sources must be >= 1, got {self.n_sources}")
-        if self.source_samples < 2 or self.target_samples < 2:
-            raise ValueError("sample counts must be >= 2")
+        for name in ("source_samples", "target_samples"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        if self.n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         if not 1 <= self.signal_dims <= self.n_features:
             raise ValueError(
                 f"signal_dims must be in [1, n_features], got {self.signal_dims}/{self.n_features}"
@@ -57,7 +60,10 @@ class SynthSpec:
             raise ValueError(f"class_balance must be in (0, 1), got {self.class_balance}")
         n_pos = round(self.class_balance * self.target_samples)
         if n_pos < 1 or n_pos > self.target_samples - 1:
-            raise ValueError("class_balance leaves the target without one of the classes")
+            raise ValueError(
+                f"class_balance {self.class_balance} leaves the target_samples "
+                f"{self.target_samples} target without one of the classes"
+            )
 
 
 def _unit(vec: Array) -> Array:

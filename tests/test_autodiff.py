@@ -74,6 +74,16 @@ def test_leaky_relu_bitwise_on_special_values():
     np.testing.assert_array_equal(grad * 4, [1.0, 1.0, 0.2, 1.0])
 
 
+def test_leaky_relu_tape_free_forward_equals_taped_bitwise():
+    tiny = np.nextafter(0.0, 1.0)
+    special = [-0.0, 0.0, tiny, -tiny, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    x = np.concatenate([special, np.random.default_rng(0).standard_normal(1000)])
+    for slope in (0.01, 0.2, 1.0 - 2.0**-52):
+        free = ad.leaky_relu(ad.Tensor(x), slope).data
+        taped = ad.leaky_relu(ad.Tape().watch(x), slope).data
+        assert free.tobytes() == taped.tobytes()
+
+
 def test_sigmoid_extremes_stay_finite_and_ordered():
     y = ad.sigmoid(ad.Tensor([-50.0, 0.0, 50.0])).data
     assert 0.0 <= y[0] < 1e-20

@@ -407,6 +407,31 @@ def test_synth_deterministic(tmp_path, family_dir):
     assert read_tree(again) == read_tree(family_dir)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--features", "0"),
+        ("--signal-dims", "0"),
+        ("--signal-dims", "51"),
+        ("--sources", "0"),
+        ("--source-samples", "1"),
+        ("--target-samples", "1"),
+        ("--perturbation", "-0.1"),
+        ("--noise", "0.5"),
+        ("--balance", "1"),
+        ("--balance", "0.001"),
+    ],
+)
+def test_synth_bad_flag_exits_two_naming_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ")
+    renamed = [field for field, name in cli._SYNTH_FLAGS.items() if name != f"--{field}"]
+    assert not any(field in err for field in renamed)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 

@@ -1,6 +1,7 @@
 """File formats, gene selection, normalization, and fold construction."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,41 @@ def test_stratified_kfold_train_test_disjoint():
         test = set(split.test_indices(i).tolist())
         assert not train & test
         assert train | test == set(range(30))
+
+
+@st.composite
+def fold_problems(draw):
+    k = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=60))
+    return np.asarray(labels, dtype=float), k, draw(st.integers(0, 2**32 - 1))
+
+
+def split_and_warnings(labels, k, seed):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        split = data.stratified_kfold(labels, k=k, seed=seed)
+    return split, [str(w.message) for w in caught]
+
+
+@settings(deadline=None)
+@given(problem=fold_problems())
+def test_stratified_kfold_properties(problem):
+    labels, k, seed = problem
+    split, messages = split_and_warnings(labels, k, seed)
+    again, _ = split_and_warnings(labels, k, seed)
+    # every index lands in exactly one test fold
+    hits = np.bincount(np.concatenate(split.folds), minlength=len(labels))
+    np.testing.assert_array_equal(hits, np.ones(len(labels)))
+    sizes = [len(f) for f in split.folds]
+    assert max(sizes) - min(sizes) <= 1
+    classes, counts = np.unique(labels, return_counts=True)
+    for cls in classes:
+        per_fold = [int((labels[f] == cls).sum()) for f in split.folds]
+        assert max(per_fold) - min(per_fold) <= 1
+    for fa, fb in zip(split.folds, again.folds):
+        np.testing.assert_array_equal(fa, fb)
+    rare = [int(c) for c, n_c in zip(classes, counts) if n_c < k]
+    assert [m.split(" has ")[0] for m in messages] == [f"class {c}" for c in rare]
 
 
 def test_stratified_kfold_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metagx import explain
-from metagx.models import ModelConfig, init_model
+from metagx.models import ModelConfig, init_model, predict
 
 
 def linear_scorer(coef):
@@ -233,3 +233,41 @@ def test_sampled_peak_memory_is_bounded_at_panel_size():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["budget1", "default"])
+@pytest.mark.parametrize("d", [7, 50, 695])
+@pytest.mark.parametrize("hidden_dims", [(16,), (16, 8)], ids=["1layer", "2layers"])
+def test_mlp_path_matches_generic_path(monkeypatch, hidden_dims, d, budget):
+    # the same model as a black-box callable takes the hybrid-row path
+    if budget is not None:
+        monkeypatch.setattr(explain, "_ROW_BUDGET", budget)
+    config = ModelConfig("mlp", input_dim=d, hidden_dims=hidden_dims)
+    params = init_model(config, seed=23)
+    rng = np.random.default_rng(24)
+    background = rng.standard_normal((12, d))
+    sample = rng.standard_normal(d)
+    n_permutations = 40 if d == 695 else 300
+    fast = explain.shapley_sampled(params, config, background, sample, n_permutations, seed=25)
+    generic = explain.shapley_sampled(
+        lambda m: predict(params, config, m), None, background, sample, n_permutations, seed=25
+    )
+    assert fast.base_value == generic.base_value
+    assert fast.prediction == generic.prediction
+    assert np.max(np.abs(fast.values - generic.values)) <= 1e-15
+    assert abs(fast.values.sum() - (fast.prediction - fast.base_value)) <= 1e-9
+
+
+def test_mlp_path_sends_only_the_base_and_sample_rows_to_predict(monkeypatch):
+    config = ModelConfig("mlp", input_dim=30, hidden_dims=(8, 4))
+    params = init_model(config, seed=26)
+    shapes = []
+
+    def recording_predict(p, cfg, matrix):
+        shapes.append(np.shape(matrix))
+        return predict(p, cfg, matrix)
+
+    monkeypatch.setattr(explain, "predict", recording_predict)
+    background = np.random.default_rng(27).standard_normal((5, 30))
+    explain.shapley_sampled(params, config, background, background[0], 100, seed=28)
+    assert shapes == [(1, 30), (1, 30)]
