@@ -206,18 +206,19 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _record(parents: Sequence[Tensor], out: Array, make_vjp: Callable) -> Tensor:
+def _record(parents: Sequence[Tensor], out: Array, vjp: Callable) -> Tensor:
     """Record one op if any parent sits on a tape; else return a constant.
 
-    ``make_vjp(needs)`` builds the vector-Jacobian closure; ``needs[i]`` tells
-    it whether parent ``i`` is tracked, so it can skip dead gradient work by
-    returning None in that slot.
+    ``vjp(g)`` maps the output gradient to one gradient per parent, with None
+    for a parent that is not tracked (``p.node is None``), so that dead work
+    is skipped. The closure holds arrays and shapes only, never a Tensor: a
+    Tensor refers to its tape and the tape to the closure, so holding one
+    would keep the tape and its activations alive until the cycle collector
+    runs.
     """
     tape = _tape_of(*parents)
     if tape is None:
         return Tensor(out)
-    needs = tuple(p.node is not None for p in parents)
-    vjp = make_vjp(needs)
     node = tape._push((p.node for p in parents), vjp, out.shape)
     return Tensor(out, tape=tape, node=node)
 
@@ -242,68 +243,49 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a, b) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     a, b = _lift(a), _lift(b)
-    out = a.data + b.data
+    ashape, bshape = a.data.shape, b.data.shape
+    ta, tb = a.node is not None, b.node is not None
 
-    def make_vjp(needs):
-        ashape, bshape = a.data.shape, b.data.shape
+    def vjp(g):
+        ga = _unbroadcast(g, ashape) if ta else None
+        gb = _unbroadcast(g, bshape) if tb else None
+        return ga, gb
 
-        def vjp(g):
-            ga = _unbroadcast(g, ashape) if needs[0] else None
-            gb = _unbroadcast(g, bshape) if needs[1] else None
-            return ga, gb
-
-        return vjp
-
-    return _record((a, b), out, make_vjp)
+    return _record((a, b), a.data + b.data, vjp)
 
 
 def sub(a, b) -> Tensor:
     """Elementwise difference with numpy broadcasting."""
     a, b = _lift(a), _lift(b)
-    out = a.data - b.data
+    ashape, bshape = a.data.shape, b.data.shape
+    ta, tb = a.node is not None, b.node is not None
 
-    def make_vjp(needs):
-        ashape, bshape = a.data.shape, b.data.shape
+    def vjp(g):
+        ga = _unbroadcast(g, ashape) if ta else None
+        gb = _unbroadcast(-g, bshape) if tb else None
+        return ga, gb
 
-        def vjp(g):
-            ga = _unbroadcast(g, ashape) if needs[0] else None
-            gb = _unbroadcast(-g, bshape) if needs[1] else None
-            return ga, gb
-
-        return vjp
-
-    return _record((a, b), out, make_vjp)
+    return _record((a, b), a.data - b.data, vjp)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _lift(a), _lift(b)
-    out = a.data * b.data
+    adata, bdata = a.data, b.data
+    ta, tb = a.node is not None, b.node is not None
 
-    def make_vjp(needs):
-        adata, bdata = a.data, b.data
+    def vjp(g):
+        ga = _unbroadcast(g * bdata, adata.shape) if ta else None
+        gb = _unbroadcast(g * adata, bdata.shape) if tb else None
+        return ga, gb
 
-        def vjp(g):
-            ga = _unbroadcast(g * bdata, adata.shape) if needs[0] else None
-            gb = _unbroadcast(g * adata, bdata.shape) if needs[1] else None
-            return ga, gb
-
-        return vjp
-
-    return _record((a, b), out, make_vjp)
+    return _record((a, b), adata * bdata, vjp)
 
 
 def neg(a) -> Tensor:
     """Elementwise negation."""
     a = _lift(a)
-
-    def make_vjp(needs):
-        def vjp(g):
-            return (-g,)
-
-        return vjp
-
-    return _record((a,), -a.data, make_vjp)
+    return _record((a,), -a.data, lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -312,30 +294,23 @@ def matmul(a, b) -> Tensor:
     Both operands must have ndim >= 2 and matching inner dimensions.
     """
     a, b = _lift(a), _lift(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    adata, bdata = a.data, b.data
+    if adata.ndim < 2 or bdata.ndim < 2:
         raise DimensionError(
-            f"matmul needs operands with ndim >= 2, got {a.data.shape} and {b.data.shape}"
+            f"matmul needs operands with ndim >= 2, got {adata.shape} and {bdata.shape}"
         )
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if adata.shape[-1] != bdata.shape[-2]:
         raise DimensionError(
-            f"matmul inner dimensions differ: {a.data.shape} vs {b.data.shape}"
+            f"matmul inner dimensions differ: {adata.shape} vs {bdata.shape}"
         )
-    out = a.data @ b.data
+    ta, tb = a.node is not None, b.node is not None
 
-    def make_vjp(needs):
-        adata, bdata = a.data, b.data
+    def vjp(g):
+        ga = _unbroadcast(g @ np.swapaxes(bdata, -1, -2), adata.shape) if ta else None
+        gb = _unbroadcast(np.swapaxes(adata, -1, -2) @ g, bdata.shape) if tb else None
+        return ga, gb
 
-        def vjp(g):
-            ga = gb = None
-            if needs[0]:
-                ga = _unbroadcast(g @ np.swapaxes(bdata, -1, -2), adata.shape)
-            if needs[1]:
-                gb = _unbroadcast(np.swapaxes(adata, -1, -2) @ g, bdata.shape)
-            return ga, gb
-
-        return vjp
-
-    return _record((a, b), out, make_vjp)
+    return _record((a, b), adata @ bdata, vjp)
 
 
 def transpose(a) -> Tensor:
@@ -343,14 +318,7 @@ def transpose(a) -> Tensor:
     a = _lift(a)
     if a.data.ndim < 2:
         raise DimensionError(f"transpose needs ndim >= 2, got shape {a.data.shape}")
-
-    def make_vjp(needs):
-        def vjp(g):
-            return (np.swapaxes(g, -1, -2),)
-
-        return vjp
-
-    return _record((a,), np.swapaxes(a.data, -1, -2), make_vjp)
+    return _record((a,), np.swapaxes(a.data, -1, -2), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -360,16 +328,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {a.data.shape} to {shape}: {exc}") from None
-
-    def make_vjp(needs):
-        old = a.data.shape
-
-        def vjp(g):
-            return (g.reshape(old),)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    old = a.data.shape
+    return _record((a,), out, lambda g: (g.reshape(old),))
 
 
 def pad_last(a, count: int) -> Tensor:
@@ -380,17 +340,8 @@ def pad_last(a, count: int) -> Tensor:
     if count == 0:
         return a
     width = [(0, 0)] * (a.data.ndim - 1) + [(0, count)]
-    out = np.pad(a.data, width)
-
-    def make_vjp(needs):
-        keep = a.data.shape[-1]
-
-        def vjp(g):
-            return (g[..., :keep],)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    keep = a.data.shape[-1]
+    return _record((a,), np.pad(a.data, width), lambda g: (g[..., :keep],))
 
 
 # ---------------------------------------------------------------------------
@@ -406,61 +357,31 @@ def _normalize_axis(axis: int, ndim: int) -> int:
 def mean(a, axis: int | None = None) -> Tensor:
     """Arithmetic mean over one axis, or over all elements when axis is None."""
     a = _lift(a)
+    shape = a.data.shape
     if axis is None:
-        out = a.data.mean()
-
-        def make_vjp(needs):
-            shape, n = a.data.shape, a.data.size
-
-            def vjp(g):
-                return (np.broadcast_to(g / n, shape),)
-
-            return vjp
-
-        return _record((a,), out, make_vjp)
-
+        n = a.data.size
+        return _record((a,), a.data.mean(), lambda g: (np.broadcast_to(g / n, shape),))
     ax = _normalize_axis(axis, a.data.ndim)
-    out = a.data.mean(axis=ax)
+    n = shape[ax]
 
-    def make_vjp(needs):
-        shape, n = a.data.shape, a.data.shape[ax]
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g / n, ax), shape),)
 
-        def vjp(g):
-            return (np.broadcast_to(np.expand_dims(g / n, ax), shape),)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), a.data.mean(axis=ax), vjp)
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over all elements when axis is None."""
     a = _lift(a)
+    shape = a.data.shape
     if axis is None:
-        out = a.data.sum()
-
-        def make_vjp(needs):
-            shape = a.data.shape
-
-            def vjp(g):
-                return (np.broadcast_to(g, shape),)
-
-            return vjp
-
-        return _record((a,), out, make_vjp)
-
+        return _record((a,), a.data.sum(), lambda g: (np.broadcast_to(g, shape),))
     ax = _normalize_axis(axis, a.data.ndim)
-    out = a.data.sum(axis=ax)
 
-    def make_vjp(needs):
-        shape = a.data.shape
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g, ax), shape),)
 
-        def vjp(g):
-            return (np.broadcast_to(np.expand_dims(g, ax), shape),)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), a.data.sum(axis=ax), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +391,10 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
 def log(a) -> Tensor:
     """Natural logarithm; inputs must be strictly positive."""
     a = _lift(a)
-    if np.any(a.data <= 0):
+    adata = a.data
+    if np.any(adata <= 0):
         raise ValueError("log requires strictly positive inputs")
-    out = np.log(a.data)
-
-    def make_vjp(needs):
-        adata = a.data
-
-        def vjp(g):
-            return (g / adata,)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), np.log(adata), lambda g: (g / adata,))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -490,17 +402,13 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     a = _lift(a)
     if not lo < hi:
         raise ValueError(f"clamp requires lo < hi, got [{lo}, {hi}]")
-    out = np.clip(a.data, lo, hi)
+    adata = a.data
 
-    def make_vjp(needs):
-        inside = (a.data > lo) & (a.data < hi)
+    def vjp(g):
+        # the mask is built here, so tape-free calls never pay for it
+        return (g * ((adata > lo) & (adata < hi)),)
 
-        def vjp(g):
-            return (g * inside,)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), np.clip(adata, lo, hi), vjp)
 
 
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
@@ -513,15 +421,7 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
         out = a.data * slope
         return Tensor(np.maximum(a.data, out, out=out))
     factor = np.where(a.data >= 0, 1.0, slope)
-    out = a.data * factor
-
-    def make_vjp(needs):
-        def vjp(g):
-            return (g * factor,)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), a.data * factor, lambda g: (g * factor,))
 
 
 def _sigmoid_values(x: Array) -> Array:
@@ -537,14 +437,7 @@ def sigmoid(a) -> Tensor:
     """Logistic function, computed on the overflow-free branch per sign."""
     a = _lift(a)
     out = _sigmoid_values(a.data)
-
-    def make_vjp(needs):
-        def vjp(g):
-            return (g * out * (1.0 - out),)
-
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -555,14 +448,11 @@ def softmax(a, axis: int = -1) -> Tensor:
     ex = np.exp(shifted)
     out = ex / ex.sum(axis=ax, keepdims=True)
 
-    def make_vjp(needs):
-        def vjp(g):
-            inner = (g * out).sum(axis=ax, keepdims=True)
-            return (out * (g - inner),)
+    def vjp(g):
+        inner = (g * out).sum(axis=ax, keepdims=True)
+        return (out * (g - inner),)
 
-        return vjp
-
-    return _record((a,), out, make_vjp)
+    return _record((a,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -614,27 +504,24 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     cols = windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len)
     w2 = w.data.reshape(c_out, c_in * width)
     out3 = w2 @ cols
-    out = out3 if batched else out3[0]
+    tx, tw = x.node is not None, w.node is not None
 
-    def make_vjp(needs):
-        def vjp(g):
-            g3 = g if batched else g[np.newaxis]
-            gx = gw = None
-            if needs[1]:
-                gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
-            if needs[0]:
-                gcols = (w2.T @ g3).reshape(nb, c_in, width, out_len)
-                gxp = np.zeros_like(xp)
-                for k in range(width):
-                    gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
-                gx = gxp[:, :, padding : padding + length] if padding else gxp
-                if not batched:
-                    gx = gx[0]
-            return gx, gw
+    def vjp(g):
+        g3 = g if batched else g[np.newaxis]
+        gx = gw = None
+        if tw:
+            gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
+        if tx:
+            gcols = (w2.T @ g3).reshape(nb, c_in, width, out_len)
+            gxp = np.zeros_like(xp)
+            for k in range(width):
+                gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
+            gx = gxp[:, :, padding : padding + length] if padding else gxp
+            if not batched:
+                gx = gx[0]
+        return gx, gw
 
-        return vjp
-
-    return _record((x, w), out, make_vjp)
+    return _record((x, w), out3 if batched else out3[0], vjp)
 
 
 def max_pool1d(x, size: int, stride: int) -> Tensor:
@@ -660,23 +547,18 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
         cand = x3[:, :, k : k + span : stride]
         np.copyto(arg, k, where=cand > out3)
         np.maximum(out3, cand, out=out3)
-    out = out3 if batched else out3[0]
 
-    def make_vjp(needs):
+    def vjp(g):
+        g3 = g if batched else g[np.newaxis]
         nb, nc, nw = arg.shape
+        # flat index of each window's maximum; bincount sums repeated picks
+        rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
+        flat = rows + np.arange(nw) * stride + arg
+        gx = np.bincount(flat.ravel(), weights=g3.ravel(), minlength=x3.size)
+        gx = gx.reshape(x3.shape)
+        return (gx if batched else gx[0],)
 
-        def vjp(g):
-            g3 = g if batched else g[np.newaxis]
-            # flat index of each window's maximum; bincount sums repeated picks
-            rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
-            flat = rows + np.arange(nw) * stride + arg
-            gx = np.bincount(flat.ravel(), weights=g3.ravel(), minlength=x3.size)
-            gx = gx.reshape(x3.shape)
-            return (gx if batched else gx[0],)
-
-        return vjp
-
-    return _record((x,), out, make_vjp)
+    return _record((x,), out3 if batched else out3[0], vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .evaluate import (
     cross_validate,
     cv_to_csv,
     lambda_sweep,
+    prepare_cohorts,
     sweep_to_csv,
     train,
 )
@@ -82,7 +83,6 @@ class RunConfig:
     lam: float = 0.5
     epochs: int = 40
     batch_size: int = 32
-    fresh_inner_eval: bool = False
 
     trainer: str = "meta"
     k: int = 10
@@ -106,7 +106,6 @@ class RunConfig:
             epochs=self.epochs,
             batch_size=self.batch_size,
             seed=self.seed,
-            fresh_inner_eval=self.fresh_inner_eval,
         )
 
 
@@ -131,7 +130,7 @@ SECTION_FIELDS = {
         "tokens",
         "leaky_slope",
     ),
-    "training": ("alpha", "momentum", "beta", "lam", "epochs", "batch_size", "fresh_inner_eval"),
+    "training": ("alpha", "momentum", "beta", "lam", "epochs", "batch_size"),
     "run": ("trainer", "k", "seed", "lambdas"),
 }
 
@@ -150,14 +149,7 @@ def _field_kind(hint) -> tuple[type, bool]:
 _FIELD_KINDS = {name: _field_kind(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
-def _parse_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"Not a boolean: {raw}") from None
-
-
-_PARSERS = {str: str.strip, int: int, float: float, bool: _parse_bool}
+_PARSERS = {str: str.strip, int: int, float: float}
 _LIST_NOUNS = {int: "integers", float: "numbers"}
 
 
@@ -186,8 +178,6 @@ def _parse_field(name: str, raw: str, key: str, base: Path = Path()):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -280,17 +270,6 @@ def _load_inputs(
     return sources, target, inter
 
 
-def _select_genes(
-    sources: list[ExpressionDataset],
-    target: ExpressionDataset,
-    inter: GeneInteractionSet | None,
-) -> tuple[str, ...]:
-    genes = select_common_genes([*sources, target])
-    if inter is not None:
-        genes = filter_by_interactions(genes, inter)
-    return genes
-
-
 def _warn_lambda_ignored(cfg: RunConfig) -> None:
     if cfg.trainer == "plain" and cfg.lam_given:
         print(
@@ -335,24 +314,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalized_training_inputs(cfg: RunConfig):
-    sources, target, inter = _load_inputs(cfg)
-    genes = _select_genes(sources, target, inter)
-    sources_p = [project(s, genes) for s in sources]
-    target_p = project(target, genes)
-    norm_sources = [
-        s.with_matrix(apply_normalization(s.matrix, fit_normalization(s.matrix)))
-        for s in sources_p
-    ]
-    stats = fit_normalization(target_p.matrix)
-    target_n = target_p.with_matrix(apply_normalization(target_p.matrix, stats))
-    return genes, norm_sources, target_n, stats
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _warn_lambda_ignored(cfg)
-    genes, norm_sources, target_n, stats = _normalized_training_inputs(cfg)
+    genes, norm_sources, target_p = prepare_cohorts(*_load_inputs(cfg))
+    stats = fit_normalization(target_p.matrix)
+    target_n = target_p.with_matrix(apply_normalization(target_p.matrix, stats))
     meta_cfg = cfg.meta_config(len(genes))
     params, log = train(cfg.trainer, meta_cfg, norm_sources, target_n)
     out = _out_dir(cfg)
@@ -383,7 +350,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _warn_lambda_ignored(cfg)
     sources, target, inter = _load_inputs(cfg)
-    genes = _select_genes(sources, target, inter)
+    genes = prepare_cohorts(sources, target, inter)[0]
     result = cross_validate(
         sources,
         target,
@@ -415,7 +382,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sources, target, inter = _load_inputs(cfg)
     if not sources:
         raise ConfigError("sweep requires [data] sources")
-    genes = _select_genes(sources, target, inter)
+    genes = prepare_cohorts(sources, target, inter)[0]
     points = lambda_sweep(
         sources,
         target,

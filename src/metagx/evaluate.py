@@ -235,6 +235,29 @@ def _nan_mean(values: Sequence[float]) -> float:
     return sum(kept) / len(kept) if kept else math.nan
 
 
+def prepare_cohorts(
+    sources: Sequence[ExpressionDataset],
+    target: ExpressionDataset,
+    interactions: GeneInteractionSet | None = None,
+) -> tuple[tuple[str, ...], list[ExpressionDataset], ExpressionDataset]:
+    """Put every cohort on one gene list: ``(genes, sources, target)``.
+
+    Genes are those shared by every dataset (and, when given, interaction
+    members). Each source is normalized with its own full-cohort statistics;
+    the target is only projected, since which of its rows fit the statistics
+    is the caller's choice.
+    """
+    genes = select_common_genes([*sources, target])
+    if interactions is not None:
+        genes = filter_by_interactions(genes, interactions)
+    sources_p = [project(src, genes) for src in sources]
+    norm_sources = [
+        src.with_matrix(apply_normalization(src.matrix, fit_normalization(src.matrix)))
+        for src in sources_p
+    ]
+    return genes, norm_sources, project(target, genes)
+
+
 def cross_validate(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
@@ -245,25 +268,14 @@ def cross_validate(
 ) -> CvResult:
     """Stratified k-fold evaluation of one trainer on the target cohort.
 
-    Genes are restricted to those shared by every dataset (and, when given,
-    to interaction members); the model's input width is re-derived from that
-    selection. Per fold, normalization is fitted on the training split only
-    and applied to the held-out fold; sources are normalized with their own
-    full-cohort statistics. Fold seeds derive from ``config.seed``.
+    Cohorts are prepared by ``prepare_cohorts``, and the model's input width
+    is re-derived from its gene selection. Per fold, normalization is fitted
+    on the training split only and applied to the held-out fold. Fold seeds
+    derive from ``config.seed``.
     """
-    everything = [*sources, target]
-    genes = select_common_genes(everything)
-    if interactions is not None:
-        genes = filter_by_interactions(genes, interactions)
-    sources_p = [project(src, genes) for src in sources]
-    target_p = project(target, genes)
+    genes, norm_sources, target_p = prepare_cohorts(sources, target, interactions)
     model = replace(config.model, input_dim=len(genes))
     split = stratified_kfold(target_p.labels, k, seed=config.seed)
-
-    norm_sources = [
-        src.with_matrix(apply_normalization(src.matrix, fit_normalization(src.matrix)))
-        for src in sources_p
-    ]
 
     reports = []
     for fold in range(split.k):

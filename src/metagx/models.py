@@ -129,11 +129,9 @@ class ModelParams:
         """Tape-free tensors for pure inference."""
         return {name: Tensor(arr) for name, arr in self._arrays.items()}
 
-    def n_parameters(self) -> int:
-        return sum(a.size for a in self._arrays.values())
-
     def __repr__(self) -> str:
-        return f"ModelParams({len(self._arrays)} arrays, {self.n_parameters()} scalars)"
+        scalars = sum(a.size for a in self._arrays.values())
+        return f"ModelParams({len(self._arrays)} arrays, {scalars} scalars)"
 
 
 # ---------------------------------------------------------------------------

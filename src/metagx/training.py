@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ExpressionDataset, sample_batch
 from .errors import TrainingError
-from .models import ModelConfig, ModelParams, forward, init_model, predict
+from .models import ModelConfig, ModelParams, forward, init_model
 
 Array = np.ndarray
 
@@ -61,7 +61,6 @@ class MetaConfig:
     epochs: int = 40
     batch_size: int = 32
     seed: int = 0
-    fresh_inner_eval: bool = False
 
     def __post_init__(self):
         if self.inner_lr <= 0 or self.outer_lr <= 0:
@@ -204,12 +203,11 @@ def inner_adapt(
     batch: tuple[Array, Array],
     alpha: float,
     momentum: float,
-    state: SgdState | None = None,
 ) -> ModelParams:
     """Adapt a copy of ``params`` to one batch with one SGD-momentum step.
 
-    The input parameters are untouched; pass ``state`` to chain several
-    adaptation steps with carried velocity.
+    The step starts from zero velocity, so it is theta - alpha * g whatever
+    the momentum; the input parameters are untouched.
     """
     x, y = batch
     tape = ad.Tape()
@@ -220,16 +218,7 @@ def inner_adapt(
         raise TrainingError(f"non-finite adaptation loss {value}")
     grads = ad.backward(loss)
     gmap = {name: grads[leaf.node].data for name, leaf in leaves.items()}
-    return sgd_momentum_step(params, gmap, alpha, momentum, state or SgdState())
-
-
-def target_loss(
-    params: ModelParams, model_config: ModelConfig, batch: tuple[Array, Array]
-) -> float:
-    """Mean BCE of the given parameters on one batch, no gradients."""
-    x, y = batch
-    scores = predict(params, model_config, x)
-    return ad.bce_loss(Tensor(scores), Tensor(np.asarray(y, dtype=np.float64))).item()
+    return sgd_momentum_step(params, gmap, alpha, momentum, SgdState())
 
 
 def meta_loss(loss_target, loss_source, lam: float):
@@ -257,46 +246,22 @@ def _adapted_source_losses(
     alpha: float,
     momentum: float,
     rng: np.random.Generator,
-    fresh_eval: bool,
 ) -> tuple[list[Tensor], list[dict[str, Tensor]]]:
     """Adapt to each source and put the adapted-copy eval losses on ``tape``.
 
     Returns the per-source loss tensors and the adapted leaf bindings, whose
     gradients count toward the shared parameter names (first-order rule).
     """
-    if not sources:
-        raise ValueError("at least one source dataset is required")
     losses: list[Tensor] = []
     groups: list[dict[str, Tensor]] = []
     for src in sources:
         bx, by = sample_batch(src.matrix, src.labels, batch_size, rng)
         fast = inner_adapt(params, model_config, (bx, by), alpha, momentum)
-        if fresh_eval:
-            bx, by = sample_batch(src.matrix, src.labels, batch_size, rng)
         leaves = fast.bind(tape)
         pred = forward(leaves, model_config, Tensor(bx))
         losses.append(ad.bce_loss(pred, Tensor(by)))
         groups.append(leaves)
     return losses, groups
-
-
-def source_meta_loss(
-    params: ModelParams,
-    model_config: ModelConfig,
-    sources: Sequence[ExpressionDataset],
-    batch_size: int,
-    alpha: float,
-    momentum: float,
-    rng: np.random.Generator,
-    fresh_eval: bool = False,
-) -> tuple[float, list[float]]:
-    """Mean and per-source adapted losses, consuming ``rng`` like a meta step."""
-    tape = ad.Tape()
-    losses, _ = _adapted_source_losses(
-        tape, params, model_config, sources, batch_size, alpha, momentum, rng, fresh_eval
-    )
-    values = [loss.item() for loss in losses]
-    return sum(values) / len(values), values
 
 
 def outer_step(
@@ -392,7 +357,6 @@ def _train_loop(
                     config.inner_lr,
                     config.inner_momentum,
                     source_rng,
-                    config.fresh_inner_eval,
                 )
                 l_s = _mean_of(src_losses)
                 loss = meta_loss(l_t, l_s, config.lam)

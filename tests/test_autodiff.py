@@ -406,3 +406,50 @@ def test_dropped_tape_is_freed_without_the_cycle_collector():
         assert probe() is None
     finally:
         gc.enable()
+
+
+def _watched(tape, *shape):
+    return tape.watch(np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape))
+
+
+# one call per recording op on watched leaves; the reductions chain their
+# axis and whole-array forms
+_OP_CALLS = {
+    "add": lambda t: ad.add(_watched(t, 2, 3), _watched(t, 3)),
+    "sub": lambda t: ad.sub(_watched(t, 2, 3), _watched(t, 3)),
+    "mul": lambda t: ad.mul(_watched(t, 2, 3), _watched(t, 3)),
+    "neg": lambda t: ad.neg(_watched(t, 2, 3)),
+    "matmul": lambda t: ad.matmul(_watched(t, 2, 3), _watched(t, 3, 4)),
+    "transpose": lambda t: ad.transpose(_watched(t, 2, 3)),
+    "reshape": lambda t: ad.reshape(_watched(t, 2, 3), (3, 2)),
+    "pad_last": lambda t: ad.pad_last(_watched(t, 2, 3), 2),
+    "mean": lambda t: ad.mean(ad.mean(_watched(t, 2, 3), axis=0)),
+    "reduce_sum": lambda t: ad.reduce_sum(ad.reduce_sum(_watched(t, 2, 3), axis=1)),
+    "log": lambda t: ad.log(_watched(t, 2, 3)),
+    "clamp": lambda t: ad.clamp(_watched(t, 2, 3), 0.2, 0.8),
+    "leaky_relu": lambda t: ad.leaky_relu(_watched(t, 2, 3)),
+    "sigmoid": lambda t: ad.sigmoid(_watched(t, 2, 3)),
+    "softmax": lambda t: ad.softmax(_watched(t, 2, 3)),
+    "conv1d": lambda t: ad.conv1d(_watched(t, 2, 3, 8), _watched(t, 4, 3, 3), padding=1),
+    "max_pool1d": lambda t: ad.max_pool1d(_watched(t, 2, 3, 8), 2, 2),
+    "bce_loss": lambda t: ad.bce_loss(_watched(t, 4), np.array([0.0, 1.0, 1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in ad.__all__ if n not in ("Tensor", "Tape", "backward")]
+)
+def test_no_op_keeps_its_tape_alive(name):
+    record = _OP_CALLS[name]
+    gc.collect()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        out = record(tape)
+        assert out.node is not None
+        del tape, out
+        # a VJP closure that held a Tensor would close a tape -> node ->
+        # closure -> tensor -> tape cycle, left for the collector to find
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

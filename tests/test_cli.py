@@ -122,7 +122,6 @@ def test_load_run_config_reads_all_sections(tmp_path):
         "alpha = 0.001\n"
         "lambda = 0.7\n"
         "epochs = 9\n"
-        "fresh_inner_eval = true\n"
         "[run]\n"
         "trainer = transfer\n"
         "k = 4\n"
@@ -142,7 +141,6 @@ def test_load_run_config_reads_all_sections(tmp_path):
     assert cfg.lam == 0.7
     assert cfg.lam_given
     assert cfg.epochs == 9
-    assert cfg.fresh_inner_eval
     assert cfg.trainer == "transfer"
     assert cfg.k == 4
     assert cfg.seed == 11
@@ -221,7 +219,6 @@ def full_run_config() -> RunConfig:
         lam=0.4,
         epochs=7,
         batch_size=16,
-        fresh_inner_eval=True,
         trainer="transfer",
         k=5,
         seed=9,
@@ -273,7 +270,6 @@ def test_effective_config_bytes(tmp_path):
         b"lambda = 0.4\n"
         b"epochs = 7\n"
         b"batch_size = 16\n"
-        b"fresh_inner_eval = true\n"
         b"\n"
         b"[run]\n"
         b"trainer = transfer\n"
@@ -341,13 +337,18 @@ def test_bad_trainer_in_config_exits_two(tmp_path, family_dir, capsys):
     assert "trainer" in capsys.readouterr().err
 
 
-def test_jobs_option_and_key_are_gone(tmp_path, config_path, capsys):
+def test_jobs_option_and_key_are_gone(tmp_path, config_path, family_dir, capsys):
     out = str(tmp_path / "o")
     assert main(["evaluate", "--config", str(config_path), "--out", out, "--jobs", "2"]) == 2
     cfg_file = tmp_path / "jobs.ini"
     cfg_file.write_text(config_path.read_text(encoding="utf-8") + "jobs = 2\n", encoding="utf-8")
     assert main(["evaluate", "--config", str(cfg_file), "--out", out]) == 2
     assert "unknown key(s) in [run]: jobs" in capsys.readouterr().err
+    cfg_file = write_config(
+        tmp_path / "fresh.ini", family_dir, lambda_line="fresh_inner_eval = true\n"
+    )
+    assert main(["evaluate", "--config", str(cfg_file), "--out", out]) == 2
+    assert "unknown key(s) in [training]: fresh_inner_eval" in capsys.readouterr().err
 
 
 def test_meta_without_sources_exits_two(tmp_path, family_dir, capsys):

@@ -122,7 +122,7 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
     for name in params.names():
         def loss_at(arr, _name=name):
             trial = ModelParams({n: (arr if n == _name else params[n]) for n in params.names()})
-            return training.target_loss(trial, cfg, (x, y))
+            return ad.bce_loss(ad.Tensor(predict(trial, cfg, x)), ad.Tensor(y)).item()
 
         fd = numeric_grad(loss_at, params[name].copy())
         got = (params[name] - adapted[name]) / alpha
@@ -149,28 +149,29 @@ def test_target_loss_matches_direct_bce():
     cfg = ModelConfig("mlp", input_dim=5, hidden_dims=(4,))
     params = init_model(cfg, seed=3)
     ds = make_ds("t", 10, 5, seed=4)
-    got = training.target_loss(params, cfg, (ds.matrix, ds.labels))
+    got = ad.bce_loss(ad.Tensor(predict(params, cfg, ds.matrix)), ad.Tensor(ds.labels)).item()
     p = np.clip(predict(params, cfg, ds.matrix), 1e-7, 1 - 1e-7)
     want = -np.mean(ds.labels * np.log(p) + (1 - ds.labels) * np.log(1 - p))
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_source_meta_loss_mean_and_rng_determinism():
+def test_adapted_source_losses_mean_and_rng_determinism():
     cfg = ModelConfig("mlp", input_dim=5, hidden_dims=(4,))
     params = init_model(cfg, seed=5)
     sources = [make_ds(f"s{i}", 20, 5, seed=10 + i) for i in range(3)]
-    mean1, per1 = training.source_meta_loss(
-        params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(9)
-    )
-    mean2, per2 = training.source_meta_loss(
-        params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(9)
-    )
+
+    def source_losses():
+        losses, _ = training._adapted_source_losses(
+            ad.Tape(), params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(9)
+        )
+        return [loss.item() for loss in losses], training._mean_of(losses).item()
+
+    per1, mean1 = source_losses()
+    per2, mean2 = source_losses()
     assert per1 == per2
     assert len(per1) == 3
     assert mean1 == pytest.approx(sum(per1) / 3, abs=1e-12)
     assert mean1 == mean2
-    with pytest.raises(ValueError):
-        training.source_meta_loss(params, cfg, [], 8, 4e-4, 0.2, np.random.default_rng(0))
 
 
 def test_lambda_zero_kills_target_gradient():
@@ -183,7 +184,7 @@ def test_lambda_zero_kills_target_gradient():
     base = params.bind(tape)
     l_t = ad.bce_loss(forward(base, cfg, ad.Tensor(target.matrix)), ad.Tensor(target.labels))
     src_losses, _ = training._adapted_source_losses(
-        tape, params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(1), False
+        tape, params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(1)
     )
     l_s = training._mean_of(src_losses)
     l_m = training.meta_loss(l_t, l_s, 0.0)
