@@ -13,7 +13,6 @@ plain numpy containers with zero bookkeeping cost.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,16 +26,13 @@ __all__ = [
     "Tape",
     "backward",
     "add",
-    "sub",
     "mul",
-    "neg",
     "matmul",
     "transpose",
     "reshape",
     "pad_last",
     "mean",
     "reduce_sum",
-    "log",
     "clamp",
     "leaky_relu",
     "sigmoid",
@@ -79,30 +75,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = "" if self.tape is None else f", node={self.node}"
         return f"Tensor(shape={self.data.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -254,20 +226,6 @@ def add(a, b) -> Tensor:
     return _record((a, b), a.data + b.data, vjp)
 
 
-def sub(a, b) -> Tensor:
-    """Elementwise difference with numpy broadcasting."""
-    a, b = _lift(a), _lift(b)
-    ashape, bshape = a.data.shape, b.data.shape
-    ta, tb = a.node is not None, b.node is not None
-
-    def vjp(g):
-        ga = _unbroadcast(g, ashape) if ta else None
-        gb = _unbroadcast(-g, bshape) if tb else None
-        return ga, gb
-
-    return _record((a, b), a.data - b.data, vjp)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _lift(a), _lift(b)
@@ -280,12 +238,6 @@ def mul(a, b) -> Tensor:
         return ga, gb
 
     return _record((a, b), adata * bdata, vjp)
-
-
-def neg(a) -> Tensor:
-    """Elementwise negation."""
-    a = _lift(a)
-    return _record((a,), -a.data, lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -388,15 +340,6 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
 # elementwise nonlinearities
 
 
-def log(a) -> Tensor:
-    """Natural logarithm; inputs must be strictly positive."""
-    a = _lift(a)
-    adata = a.data
-    if np.any(adata <= 0):
-        raise ValueError("log requires strictly positive inputs")
-    return _record((a,), np.log(adata), lambda g: (g / adata,))
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is 1 strictly inside, 0 at/beyond the rails."""
     a = _lift(a)
@@ -459,21 +402,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 # structured ops
 
 
-def _promote_conv_input(x: Tensor, what: str) -> tuple[Array, bool]:
-    if x.data.ndim == 2:
-        return x.data[np.newaxis], False
-    if x.data.ndim == 3:
-        return x.data, True
-    raise DimensionError(
-        f"{what} expects [channels, length] or [batch, channels, length], got {x.data.shape}"
-    )
-
-
 def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation: out[b,o,j] = sum_{c,k} w[o,c,k] * x[b,c,j*stride+k-padding].
 
-    ``x`` is [channels, length] or [batch, channels, length]; ``w`` is
-    [out_channels, in_channels, width]. Zero padding is applied to both ends.
+    ``x`` is [batch, channels, length]; ``w`` is [out_channels, in_channels,
+    width]. Zero padding is applied to both ends.
 
     Runs as im2col plus matmul: the windows are copied once into a column
     matrix [batch, in_channels*width, out_length], so the forward pass and
@@ -486,7 +419,9 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"conv1d padding must be >= 0, got {padding}")
     if w.data.ndim != 3:
         raise DimensionError(f"conv1d weight must be [out, in, width], got {w.data.shape}")
-    x3, batched = _promote_conv_input(x, "conv1d")
+    x3 = x.data
+    if x3.ndim != 3:
+        raise DimensionError(f"conv1d expects [batch, channels, length], got {x3.shape}")
     c_out, c_in, width = w.data.shape
     if x3.shape[1] != c_in:
         raise DimensionError(
@@ -503,62 +438,57 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     nb, out_len = xp.shape[0], windows.shape[2]
     cols = windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len)
     w2 = w.data.reshape(c_out, c_in * width)
-    out3 = w2 @ cols
     tx, tw = x.node is not None, w.node is not None
 
     def vjp(g):
-        g3 = g if batched else g[np.newaxis]
         gx = gw = None
         if tw:
-            gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
+            gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
         if tx:
-            gcols = (w2.T @ g3).reshape(nb, c_in, width, out_len)
+            gcols = (w2.T @ g).reshape(nb, c_in, width, out_len)
             gxp = np.zeros_like(xp)
             for k in range(width):
                 gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
             gx = gxp[:, :, padding : padding + length] if padding else gxp
-            if not batched:
-                gx = gx[0]
         return gx, gw
 
-    return _record((x, w), out3 if batched else out3[0], vjp)
+    return _record((x, w), w2 @ cols, vjp)
 
 
 def max_pool1d(x, size: int, stride: int) -> Tensor:
     """Max over sliding windows along the last axis; ties keep the first index.
 
-    ``x`` is [channels, length] or [batch, channels, length]; the window must
-    fit at least once.
+    ``x`` is [batch, channels, length]; the window must fit at least once.
     """
     x = _lift(x)
     if size < 1:
         raise ValueError(f"max_pool1d size must be >= 1, got {size}")
     if stride < 1:
         raise ValueError(f"max_pool1d stride must be >= 1, got {stride}")
-    x3, batched = _promote_conv_input(x, "max_pool1d")
+    x3 = x.data
+    if x3.ndim != 3:
+        raise DimensionError(f"max_pool1d expects [batch, channels, length], got {x3.shape}")
     length = x3.shape[2]
     if length < size:
         raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
     # one strided slice per window offset k holds element k of every window
     span = (length - size) // stride * stride + 1
-    out3 = x3[:, :, 0:span:stride].copy()
-    arg = np.zeros(out3.shape, dtype=np.intp)
+    out = x3[:, :, 0:span:stride].copy()
+    arg = np.zeros(out.shape, dtype=np.intp)
     for k in range(1, size):
         cand = x3[:, :, k : k + span : stride]
-        np.copyto(arg, k, where=cand > out3)
-        np.maximum(out3, cand, out=out3)
+        np.copyto(arg, k, where=cand > out)
+        np.maximum(out, cand, out=out)
 
     def vjp(g):
-        g3 = g if batched else g[np.newaxis]
         nb, nc, nw = arg.shape
         # flat index of each window's maximum; bincount sums repeated picks
         rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
         flat = rows + np.arange(nw) * stride + arg
-        gx = np.bincount(flat.ravel(), weights=g3.ravel(), minlength=x3.size)
-        gx = gx.reshape(x3.shape)
-        return (gx if batched else gx[0],)
+        gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=x3.size)
+        return (gx.reshape(x3.shape),)
 
-    return _record((x,), out3 if batched else out3[0], vjp)
+    return _record((x,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +501,8 @@ def bce_loss(pred, label) -> Tensor:
     """Mean binary cross-entropy over a 1-D batch of probabilities.
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the logs so that hard
-    0/1 scores stay finite; labels must be exactly 0 or 1. Built from recorded
-    primitives, so it differentiates like any other op.
+    0/1 scores stay finite; the gradient is zero at and beyond those rails.
+    Labels must be exactly 0 or 1 and get no gradient. Records one node.
     """
     pred, label = _lift(pred), _lift(label)
     if pred.data.ndim != 1 or label.data.ndim != 1:
@@ -587,7 +517,17 @@ def bce_loss(pred, label) -> Tensor:
         raise DimensionError("bce_loss requires a non-empty batch")
     if not np.all((label.data == 0.0) | (label.data == 1.0)):
         raise ValueError("bce_loss labels must be exactly 0 or 1")
-    p = clamp(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-    pos = mul(label, log(p))
-    negt = mul(sub(1.0, label), log(sub(1.0, p)))
-    return neg(mean(add(pos, negt)))
+    x, y = pred.data, label.data
+    lo, hi = _BCE_EPS, 1.0 - _BCE_EPS
+    p = np.clip(x, lo, hi)
+    q = 1.0 - p
+    n = x.size
+
+    # these expressions, in this order, are those of the unfused
+    # clamp/log/mul/mean chain; tests hold the op to that chain bit for bit
+    def vjp(g):
+        gm = -g / n
+        gp = -(gm * (1.0 - y) / q) + gm * y / p
+        return gp * ((x > lo) & (x < hi)), None
+
+    return _record((pred, label), -(y * np.log(p) + (1.0 - y) * np.log(q)).mean(), vjp)

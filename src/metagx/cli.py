@@ -150,7 +150,8 @@ _FIELD_KINDS = {name: _field_kind(hint) for name, hint in typing.get_type_hints(
 
 
 _PARSERS = {str: str.strip, int: int, float: float}
-_LIST_NOUNS = {int: "integers", float: "numbers"}
+# what a field of each kind must be, said of one value and of a list
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
 def _split_list(raw: str) -> list[str]:
@@ -167,14 +168,12 @@ def _parse_field(name: str, raw: str, key: str, base: Path = Path()):
     and relative paths resolve against ``base``."""
     kind, is_list = _FIELD_KINDS[name]
     parse = base.joinpath if kind is Path else _PARSERS[kind]
-    if not is_list:
-        return parse(raw)
     try:
-        return tuple(parse(p) for p in _split_list(raw))
+        return tuple(parse(p) for p in _split_list(raw)) if is_list else parse(raw)
     except ValueError:
-        raise ConfigError(
-            f"{key} must be a comma-separated list of {_LIST_NOUNS[kind]}, got {raw!r}"
-        ) from None
+        one, many = _NOUNS[kind]
+        what = f"a comma-separated list of {many}" if is_list else one
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
 
 
 def _format_value(value) -> str:
@@ -208,10 +207,7 @@ def load_run_config(path: Path) -> RunConfig:
                 f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
         for key, raw in parser[section].items():
-            try:
-                kw[keys[key]] = _parse_field(keys[key], raw, key, path.parent)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+            kw[keys[key]] = _parse_field(keys[key], raw, key, path.parent)
     return RunConfig(**kw, lam_given="lam" in kw, arch_given="architecture" in kw)
 
 
@@ -246,6 +242,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(Path(args.config)) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.trainer not in TRAINERS:
         raise ConfigError(f"trainer must be one of {TRAINERS}, got {cfg.trainer!r}")
     if cfg.architecture not in ARCHITECTURES:

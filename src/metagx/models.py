@@ -34,8 +34,6 @@ Array = np.ndarray
 
 ARCHITECTURES = ("mlp", "cnn", "transformer")
 
-_HEAD_EPS = 1e-7
-
 CHECKPOINT_VERSION = 1
 
 
@@ -242,7 +240,7 @@ def _require(tensors: Mapping[str, Tensor], name: str) -> Tensor:
 def _head(config: ModelConfig, features: Tensor, weight: Tensor) -> Tensor:
     n = features.data.shape[0]
     logits = ad.reshape(ad.matmul(features, ad.transpose(weight)), (n,))
-    return ad.clamp(ad.sigmoid(logits), _HEAD_EPS, 1.0 - _HEAD_EPS)
+    return ad.clamp(ad.sigmoid(logits), ad._BCE_EPS, 1.0 - ad._BCE_EPS)
 
 
 def forward_mlp(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:

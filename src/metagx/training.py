@@ -63,8 +63,10 @@ class MetaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_lr <= 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("inner_lr", "outer_lr"):
+            rate = getattr(self, name)
+            if not (np.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {rate}")
         if not 0.0 <= self.inner_momentum < 1.0:
             raise ValueError(f"inner_momentum must be in [0, 1), got {self.inner_momentum}")
         if not 0.0 <= self.lam <= 1.0:
@@ -221,13 +223,11 @@ def inner_adapt(
     return sgd_momentum_step(params, gmap, alpha, momentum, SgdState())
 
 
-def meta_loss(loss_target, loss_source, lam: float):
-    """Convex mix lam * L_T + (1 - lam) * L_S; tensors stay differentiable."""
+def meta_loss(loss_target: Tensor, loss_source: Tensor, lam: float) -> Tensor:
+    """Convex mix lam * L_T + (1 - lam) * L_S, recorded on the losses' tape."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
-    if isinstance(loss_target, Tensor) or isinstance(loss_source, Tensor):
-        return ad.add(ad.mul(loss_target, lam), ad.mul(loss_source, 1.0 - lam))
-    return lam * float(loss_target) + (1.0 - lam) * float(loss_source)
+    return ad.add(ad.mul(loss_target, lam), ad.mul(loss_source, 1.0 - lam))
 
 
 def _mean_of(losses: Sequence[Tensor]) -> Tensor:

@@ -36,10 +36,10 @@ def check_op_grad(build, x, step=1e-5):
 def test_add_mul_forward_and_broadcast():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = ad.Tensor([10.0, 20.0])
-    np.testing.assert_array_equal((a + b).data, [[11.0, 22.0], [13.0, 24.0]])
-    np.testing.assert_array_equal((a * 2.0).data, [[2.0, 4.0], [6.0, 8.0]])
-    np.testing.assert_array_equal((-a).data, [[-1.0, -2.0], [-3.0, -4.0]])
-    np.testing.assert_array_equal((1.0 - b).data, [-9.0, -19.0])
+    np.testing.assert_array_equal(ad.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
+    np.testing.assert_array_equal(ad.mul(a, 2.0).data, [[2.0, 4.0], [6.0, 8.0]])
+    np.testing.assert_array_equal(ad.mul(a, b).data, [[10.0, 40.0], [30.0, 80.0]])
+    np.testing.assert_array_equal(ad.add(1.0, b).data, [11.0, 21.0])
 
 
 def test_matmul_forward_matches_numpy():
@@ -102,10 +102,10 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 
 def test_conv1d_hand_example():
-    x = ad.Tensor([[1.0, 2.0, 3.0]])
+    x = ad.Tensor([[[1.0, 2.0, 3.0]]])
     w = ad.Tensor([[[1.0, 0.0, -1.0]]])
     out = ad.conv1d(x, w, stride=1, padding=1)
-    np.testing.assert_allclose(out.data, [[-2.0, -2.0, 2.0]])
+    np.testing.assert_allclose(out.data, [[[-2.0, -2.0, 2.0]]])
 
 
 def test_conv1d_stride_and_batch():
@@ -125,19 +125,26 @@ def test_conv1d_stride_and_batch():
 
 def test_conv1d_window_too_large_raises():
     with pytest.raises(DimensionError):
-        ad.conv1d(ad.Tensor(np.ones((1, 2))), ad.Tensor(np.ones((1, 1, 5))), padding=1)
+        ad.conv1d(ad.Tensor(np.ones((1, 1, 2))), ad.Tensor(np.ones((1, 1, 5))), padding=1)
 
 
 def test_max_pool1d_forward_and_tie_break():
-    x = ad.Tensor([[1.0, 3.0, 3.0, 0.0]])
+    x = ad.Tensor([[[1.0, 3.0, 3.0, 0.0]]])
     out = ad.max_pool1d(x, size=2, stride=2)
-    np.testing.assert_array_equal(out.data, [[3.0, 3.0]])
+    np.testing.assert_array_equal(out.data, [[[3.0, 3.0]]])
     # ties take the first position: gradient flows to index 1, not 2
     tape = ad.Tape()
-    leaf = tape.watch(np.array([[1.0, 3.0, 3.0, 0.0]]))
+    leaf = tape.watch(np.array([[[1.0, 3.0, 3.0, 0.0]]]))
     loss = ad.reduce_sum(ad.max_pool1d(leaf, size=4, stride=4))
     g = ad.backward(loss)[leaf.node].data
-    np.testing.assert_array_equal(g, [[0.0, 1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(g, [[[0.0, 1.0, 0.0, 0.0]]])
+
+
+def test_conv1d_and_max_pool1d_need_a_batch_axis():
+    with pytest.raises(DimensionError, match=r"conv1d expects \[batch, channels, length\]"):
+        ad.conv1d(ad.Tensor(np.ones((3, 9))), ad.Tensor(np.ones((2, 3, 3))))
+    with pytest.raises(DimensionError, match=r"max_pool1d expects \[batch, channels, length\]"):
+        ad.max_pool1d(ad.Tensor(np.ones((3, 9))), 2, 2)
 
 
 def test_bce_loss_hand_example():
@@ -158,6 +165,52 @@ def test_bce_loss_validates_inputs():
         ad.bce_loss(ad.Tensor([0.5]), ad.Tensor([0.5]))
     with pytest.raises(DimensionError):
         ad.bce_loss(ad.Tensor([[0.5]]), ad.Tensor([[1.0]]))
+
+
+def unfused_bce(x, y, g):
+    """Value of the clamp/log/mul/sub/add/mean/neg chain that bce_loss once
+    recorded, and the gradient of ``g * loss`` by that chain's backward sweep:
+    one line per node, in its order of accumulation."""
+    lo, hi = 1e-7, 1.0 - 1e-7
+    p = np.clip(x, lo, hi)  # clamp
+    log_p = np.log(p)  # log
+    pos = y * log_p  # mul(label, log p)
+    one_minus_y = 1.0 - y  # sub(1, label), a constant
+    q = 1.0 - p  # sub(1, p)
+    log_q = np.log(q)  # log
+    negt = one_minus_y * log_q  # mul
+    loss = -(pos + negt).mean()  # add, mean, neg
+    g_mean = np.broadcast_to(-np.float64(g) / x.size, x.shape)  # neg, mean
+    g_q = g_mean * one_minus_y / q  # add, mul, log
+    g_p = -g_q  # sub(1, p): the first gradient to reach p
+    g_p = g_p + g_mean * y / p  # add, mul, log: the second
+    return loss, g_p * ((x > lo) & (x < hi))  # clamp
+
+
+_BCE_PREDS = {
+    "random": np.random.default_rng(43).random(9),
+    "rails": np.array([0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0, 0.0, 1e-7, 1.0 - 1e-7, 1.0]),
+}
+_BCE_LABELS = {
+    "mixed": np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+    "zeros": np.zeros(9),
+    "ones": np.ones(9),
+}
+
+
+@pytest.mark.parametrize("upstream", [1.0, 0.3])
+@pytest.mark.parametrize("labels", _BCE_LABELS)
+@pytest.mark.parametrize("preds", _BCE_PREDS)
+def test_bce_loss_is_one_node_bitwise_equal_to_the_unfused_chain(preds, labels, upstream):
+    x, y = _BCE_PREDS[preds], _BCE_LABELS[labels]
+    want_loss, want_grad = unfused_bce(x, y, upstream)
+    tape = ad.Tape()
+    leaf = tape.watch(x)
+    loss = ad.bce_loss(leaf, ad.Tensor(y))
+    assert loss.node == leaf.node + 1
+    assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
+    grad = ad.backward(loss if upstream == 1.0 else ad.mul(loss, upstream))[leaf.node].data
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def conv1d_loop_oracle(x, w, stride, padding, g):
@@ -185,7 +238,7 @@ def conv1d_loop_oracle(x, w, stride, padding, g):
 @pytest.mark.parametrize(
     "x_shape,w_shape,stride,padding",
     [
-        ((3, 9), (2, 3, 3), 1, 1),  # unbatched
+        ((1, 3, 9), (2, 3, 3), 1, 1),  # batch of one
         ((2, 1, 12), (4, 1, 3), 1, 1),  # one input channel
         ((2, 3, 17), (2, 3, 2), 3, 0),  # stride > width
         ((2, 2, 6), (3, 2, 3), 2, 4),  # padding >= width
@@ -195,13 +248,9 @@ def test_conv1d_matches_loop_oracle(x_shape, w_shape, stride, padding):
     rng = np.random.default_rng(sum(x_shape) + stride + padding)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
-    x3 = x if x.ndim == 3 else x[np.newaxis]
     out_len = (x_shape[-1] + 2 * padding - w_shape[2]) // stride + 1
-    g3 = rng.standard_normal((x3.shape[0], w_shape[0], out_len))
-    g = g3 if x.ndim == 3 else g3[0]
-    want_out, want_gx, want_gw = conv1d_loop_oracle(x3, w, stride, padding, g3)
-    if x.ndim == 2:
-        want_out, want_gx = want_out[0], want_gx[0]
+    g = rng.standard_normal((x_shape[0], w_shape[0], out_len))
+    want_out, want_gx, want_gw = conv1d_loop_oracle(x, w, stride, padding, g)
 
     tape = ad.Tape()
     xt, wt = tape.watch(x), tape.watch(w)
@@ -238,7 +287,7 @@ def test_grad_add_mul_sub_broadcast(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 4))
     c = rng.standard_normal(4)
-    check_op_grad(lambda t: ad.mean(ad.mul(ad.add(t, ad.Tensor(c)), ad.sub(t, 0.5))), x)
+    check_op_grad(lambda t: ad.mean(ad.mul(ad.add(t, ad.Tensor(c)), ad.add(t, -0.5))), x)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -264,7 +313,7 @@ def test_grad_matmul_batched_operand():
         lambda t: ad.mean(ad.leaky_relu(t, 0.01)),
         lambda t: ad.mean(ad.sigmoid(t)),
         lambda t: ad.mean(ad.mul(ad.softmax(t, axis=-1), ad.Tensor(np.arange(12.0).reshape(3, 4)))),
-        lambda t: ad.mean(ad.log(ad.add(ad.mul(t, t), 1.0))),
+        lambda t: ad.bce_loss(ad.sigmoid(ad.reshape(t, (12,))), ad.Tensor(np.arange(12.0) % 2)),
         lambda t: ad.mean(ad.reduce_sum(ad.mul(t, t), axis=1)),
         lambda t: ad.mean(ad.transpose(t)),
         lambda t: ad.mean(ad.reshape(t, (4, 3))),
@@ -416,16 +465,13 @@ def _watched(tape, *shape):
 # axis and whole-array forms
 _OP_CALLS = {
     "add": lambda t: ad.add(_watched(t, 2, 3), _watched(t, 3)),
-    "sub": lambda t: ad.sub(_watched(t, 2, 3), _watched(t, 3)),
     "mul": lambda t: ad.mul(_watched(t, 2, 3), _watched(t, 3)),
-    "neg": lambda t: ad.neg(_watched(t, 2, 3)),
     "matmul": lambda t: ad.matmul(_watched(t, 2, 3), _watched(t, 3, 4)),
     "transpose": lambda t: ad.transpose(_watched(t, 2, 3)),
     "reshape": lambda t: ad.reshape(_watched(t, 2, 3), (3, 2)),
     "pad_last": lambda t: ad.pad_last(_watched(t, 2, 3), 2),
     "mean": lambda t: ad.mean(ad.mean(_watched(t, 2, 3), axis=0)),
     "reduce_sum": lambda t: ad.reduce_sum(ad.reduce_sum(_watched(t, 2, 3), axis=1)),
-    "log": lambda t: ad.log(_watched(t, 2, 3)),
     "clamp": lambda t: ad.clamp(_watched(t, 2, 3), 0.2, 0.8),
     "leaky_relu": lambda t: ad.leaky_relu(_watched(t, 2, 3)),
     "sigmoid": lambda t: ad.sigmoid(_watched(t, 2, 3)),

@@ -183,6 +183,16 @@ def test_load_run_config_bad_number(tmp_path):
         load_run_config(cfg_file)
 
 
+def test_load_run_config_bad_scalar_names_the_key(tmp_path):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text("[run]\nk = 2.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^k must be an integer, got '2\.5'$"):
+        load_run_config(cfg_file)
+    cfg_file.write_text("[training]\nalpha = fast\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^alpha must be a number, got 'fast'$"):
+        load_run_config(cfg_file)
+
+
 def test_load_run_config_bad_list(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text("[model]\nhidden_dims = 8, wide\n", encoding="utf-8")
@@ -349,6 +359,28 @@ def test_jobs_option_and_key_are_gone(tmp_path, config_path, family_dir, capsys)
     )
     assert main(["evaluate", "--config", str(cfg_file), "--out", out]) == 2
     assert "unknown key(s) in [training]: fresh_inner_eval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_exits_two_naming_the_seed(tmp_path, family_dir, capsys, where):
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, seed=-1 if where == "config" else 3)
+    extra = ["--seed", "-1"] if where == "flag" else []
+    code = main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "key, value, field", [("alpha", "nan", "inner_lr"), ("beta", "inf", "outer_lr")]
+)
+def test_non_finite_learning_rate_exits_two(
+    tmp_path, family_dir, capsys, command, key, value, field
+):
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", **{key: value})
+    code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got {value}\n"
 
 
 def test_meta_without_sources_exits_two(tmp_path, family_dir, capsys):

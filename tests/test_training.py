@@ -130,12 +130,13 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
 
 
 def test_meta_loss_mixing():
-    assert training.meta_loss(1.0, 2.0, 0.7) == pytest.approx(1.3, abs=1e-9)
-    assert training.meta_loss(1.0, 2.0, 1.0) == 1.0
-    assert training.meta_loss(1.0, 2.0, 0.0) == 2.0
+    one, two = ad.Tensor(1.0), ad.Tensor(2.0)
+    assert training.meta_loss(one, two, 0.7).item() == pytest.approx(1.3, abs=1e-9)
+    assert training.meta_loss(one, two, 1.0).item() == 1.0
+    assert training.meta_loss(one, two, 0.0).item() == 2.0
     with pytest.raises(ValueError):
-        training.meta_loss(1.0, 2.0, 1.5)
-    # tensor route stays differentiable
+        training.meta_loss(one, two, 1.5)
+    # the mix is recorded, so it stays differentiable
     tape = ad.Tape()
     lt = tape.watch(np.array(1.0).reshape(()))
     ls = tape.watch(np.array(2.0).reshape(()))
@@ -288,6 +289,10 @@ def test_meta_config_validation():
         training.MetaConfig(model=model, lam=1.5)
     with pytest.raises(ValueError):
         training.MetaConfig(model=model, inner_lr=0.0)
+    with pytest.raises(ValueError, match="inner_lr must be finite"):
+        training.MetaConfig(model=model, inner_lr=float("nan"))
+    with pytest.raises(ValueError, match="outer_lr must be finite"):
+        training.MetaConfig(model=model, outer_lr=float("inf"))
     with pytest.raises(ValueError):
         training.MetaConfig(model=model, inner_momentum=1.0)
     with pytest.raises(ValueError):
