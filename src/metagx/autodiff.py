@@ -115,12 +115,14 @@ class Tape:
         return len(self._nodes) - 1
 
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
-    """Reverse sweep: gradients of a scalar loss for every watched leaf.
+def backward(loss: Tensor, weight: float = 1.0) -> dict[int, Tensor]:
+    """Reverse sweep: gradients of ``weight * loss`` for every watched leaf.
 
     Returns a map from leaf node id (as handed out by ``Tape.watch``) to the
     gradient tensor, shaped like the leaf. Leaves the loss never reached get
-    exact zeros. The loss must be a 0-d tensor recorded on a tape.
+    exact zeros. The loss must be a 0-d tensor recorded on a tape. Seeding
+    the sweep with ``weight`` gives the same bits as recording
+    ``mul(loss, weight)`` and sweeping from that.
     """
     if loss.tape is None or loss.node is None:
         raise ValueError("backward requires a tensor recorded on a tape")
@@ -133,7 +135,7 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
 
     nodes = tape._nodes
     grads: list[Array | None] = [None] * len(nodes)
-    grads[loss.node] = np.ones((), dtype=np.float64)
+    grads[loss.node] = np.ones((), dtype=np.float64) * weight
     for nid in range(loss.node, -1, -1):
         g = grads[nid]
         node = nodes[nid]

@@ -5,8 +5,8 @@ overrides; every command is deterministic given the same config and seed, and
 writes only reproducible artifacts (no timestamps). Paths inside the config
 file resolve relative to the config file's directory.
 
-Exit codes: 0 success, 2 usage/configuration/data errors, 3 training
-divergence.
+Exit codes: 0 success, 2 usage/configuration/data errors and running out of
+memory, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -581,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (MetagxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

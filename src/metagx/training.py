@@ -9,9 +9,12 @@ One meta step works on a target batch and one batch per source cohort:
 4. combine L = lam * L_T + (1 - lam) * L_S and take one Adam step (the outer
    loop).
 
-The outer gradient is first-order: adapted copies enter the combined loss as
-independent leaves under their parameter names, and per-name gradients are
-summed, so no second derivative through the inner step is formed.
+The outer gradient is first-order: each term (the target batch, then each
+adapted copy on its source batch) is differentiated on its own tape, with the
+sweep seeded by the term's weight in L, and ``outer_step`` sums the per-name
+gradients in that order. No second derivative through the inner step is
+formed, and only one term's activations are alive at a time, so peak memory
+does not grow with the number of sources.
 
 All trainers share one loop of shuffled Adam passes: plain training is that
 loop on the target alone, meta training adds the adapted-source term to each
@@ -199,6 +202,21 @@ def adam_step(
 # losses
 
 
+def _batch_loss(
+    params: ModelParams, model_config: ModelConfig, batch: tuple[Array, Array]
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """BCE of ``params`` on one batch, recorded on a fresh tape, and its leaves."""
+    x, y = batch
+    leaves = params.bind(ad.Tape())
+    return ad.bce_loss(forward(leaves, model_config, Tensor(x)), Tensor(y)), leaves
+
+
+def _grads(loss: Tensor, leaves: dict[str, Tensor], weight: float = 1.0) -> dict[str, Array]:
+    """Gradients of ``weight * loss`` by parameter name; consumes the tape."""
+    grads = ad.backward(loss, weight)
+    return {name: grads[leaf.node].data for name, leaf in leaves.items()}
+
+
 def inner_adapt(
     params: ModelParams,
     model_config: ModelConfig,
@@ -211,79 +229,23 @@ def inner_adapt(
     The step starts from zero velocity, so it is theta - alpha * g whatever
     the momentum; the input parameters are untouched.
     """
-    x, y = batch
-    tape = ad.Tape()
-    leaves = params.bind(tape)
-    loss = ad.bce_loss(forward(leaves, model_config, Tensor(x)), Tensor(y))
+    loss, leaves = _batch_loss(params, model_config, batch)
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingError(f"non-finite adaptation loss {value}")
-    grads = ad.backward(loss)
-    gmap = {name: grads[leaf.node].data for name, leaf in leaves.items()}
-    return sgd_momentum_step(params, gmap, alpha, momentum, SgdState())
-
-
-def meta_loss(loss_target: Tensor, loss_source: Tensor, lam: float) -> Tensor:
-    """Convex mix lam * L_T + (1 - lam) * L_S, recorded on the losses' tape."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-    return ad.add(ad.mul(loss_target, lam), ad.mul(loss_source, 1.0 - lam))
-
-
-def _mean_of(losses: Sequence[Tensor]) -> Tensor:
-    acc = losses[0]
-    for loss in losses[1:]:
-        acc = ad.add(acc, loss)
-    return ad.mul(acc, 1.0 / len(losses))
-
-
-def _adapted_source_losses(
-    tape: ad.Tape,
-    params: ModelParams,
-    model_config: ModelConfig,
-    sources: Sequence[ExpressionDataset],
-    batch_size: int,
-    alpha: float,
-    momentum: float,
-    rng: np.random.Generator,
-) -> tuple[list[Tensor], list[dict[str, Tensor]]]:
-    """Adapt to each source and put the adapted-copy eval losses on ``tape``.
-
-    Returns the per-source loss tensors and the adapted leaf bindings, whose
-    gradients count toward the shared parameter names (first-order rule).
-    """
-    losses: list[Tensor] = []
-    groups: list[dict[str, Tensor]] = []
-    for src in sources:
-        bx, by = sample_batch(src.matrix, src.labels, batch_size, rng)
-        fast = inner_adapt(params, model_config, (bx, by), alpha, momentum)
-        leaves = fast.bind(tape)
-        pred = forward(leaves, model_config, Tensor(bx))
-        losses.append(ad.bce_loss(pred, Tensor(by)))
-        groups.append(leaves)
-    return losses, groups
+    return sgd_momentum_step(params, _grads(loss, leaves), alpha, momentum, SgdState())
 
 
 def outer_step(
-    params: ModelParams,
-    loss: Tensor,
-    leaf_groups: dict[str, Sequence[Tensor]],
-    state: AdamState,
-    lr: float,
+    params: ModelParams, terms: Sequence[dict[str, Array]], state: AdamState, lr: float
 ) -> ModelParams:
-    """Backward through ``loss`` and apply one Adam step.
+    """Sum each parameter's term gradients and apply one Adam step.
 
-    ``leaf_groups`` maps each parameter name to every leaf carrying it (the
-    base parameters plus any adapted copies); their gradients are summed.
+    ``terms`` holds one weighted gradient map per loss term, the target's
+    first; each name is summed left to right, ``terms[0] + terms[1] + ...``.
     """
-    grads = ad.backward(loss)
-    gmap: dict[str, Array] = {}
-    for name, leaves in leaf_groups.items():
-        total = grads[leaves[0].node].data
-        for leaf in leaves[1:]:
-            total = total + grads[leaf.node].data
-        gmap[name] = total
-    return adam_step(params, gmap, lr, state)
+    grads = {name: sum((t[name] for t in terms[1:]), terms[0][name]) for name in params.names()}
+    return adam_step(params, grads, lr, state)
 
 
 # ---------------------------------------------------------------------------
@@ -317,55 +279,52 @@ def _check_finite(value: float, what: str, step: int, epoch: int) -> None:
 OnStep = Callable[[int, ModelParams], None]
 
 
+# a diverging run overflows before its loss or a gradient turns non-finite, and
+# those checks raise TrainingError; numpy's warnings on the way are only noise
+@np.errstate(over="ignore", invalid="ignore")
 def _train_loop(
     config: MetaConfig,
     params: ModelParams,
     dataset: ExpressionDataset,
-    epochs: int,
     stage: str,
     log: TrainLog,
     on_step: OnStep | None,
     sources: Sequence[ExpressionDataset] = (),
 ) -> ModelParams:
-    """``epochs`` shuffled Adam passes over ``dataset``, from a fresh optimizer.
+    """``config.epochs`` shuffled Adam passes over ``dataset``, from a fresh optimizer.
 
     Batches come from the stage's sub-stream of the run seed. Without
     sources each step minimizes the batch loss; with sources it minimizes the
-    meta loss, adding the adapted-source term. Steps are numbered on from the
+    meta loss, adding the adapted-source terms. Steps are numbered on from the
     records already in ``log``.
     """
     adam = AdamState()
     rng = np.random.default_rng([config.seed, _STAGE_STREAMS[stage]])
     source_rng = np.random.default_rng([config.seed, _STREAM_SOURCE])
     step = len(log)
-    for epoch in range(1, epochs + 1):
-        for bx, by in _epoch_batches(dataset, config.batch_size, rng):
+    for epoch in range(1, config.epochs + 1):
+        for batch in _epoch_batches(dataset, config.batch_size, rng):
             step += 1
-            tape = ad.Tape()
-            base = params.bind(tape)
-            l_t = ad.bce_loss(forward(base, config.model, Tensor(bx)), Tensor(by))
-            lt_v = l_t.item()
+            loss, leaves = _batch_loss(params, config.model, batch)
+            lt_v = loss.item()
             _check_finite(lt_v, f"{stage} loss", step, epoch)
-            loss, ls_v, lm_v, src_groups = l_t, None, None, []
+            terms = [_grads(loss, leaves, config.lam if sources else 1.0)]
+            ls_v = lm_v = None
             if sources:
-                src_losses, src_groups = _adapted_source_losses(
-                    tape,
-                    params,
-                    config.model,
-                    sources,
-                    config.batch_size,
-                    config.inner_lr,
-                    config.inner_momentum,
-                    source_rng,
-                )
-                l_s = _mean_of(src_losses)
-                loss = meta_loss(l_t, l_s, config.lam)
-                ls_v, lm_v = l_s.item(), loss.item()
-                _check_finite(ls_v, "source loss", step, epoch)
-            groups = {
-                name: [leaf] + [g[name] for g in src_groups] for name, leaf in base.items()
-            }
-            params = outer_step(params, loss, groups, adam, config.outer_lr)
+                weight = (1.0 - config.lam) * (1.0 / len(sources))
+                values = []
+                for src in sources:
+                    src_batch = sample_batch(src.matrix, src.labels, config.batch_size, source_rng)
+                    fast = inner_adapt(
+                        params, config.model, src_batch, config.inner_lr, config.inner_momentum
+                    )
+                    loss, leaves = _batch_loss(fast, config.model, src_batch)
+                    values.append(loss.item())
+                    _check_finite(values[-1], "source loss", step, epoch)
+                    terms.append(_grads(loss, leaves, weight))
+                ls_v = sum(values[1:], values[0]) * (1.0 / len(sources))
+                lm_v = lt_v * config.lam + ls_v * (1.0 - config.lam)
+            params = outer_step(params, terms, adam, config.outer_lr)
             log.append(step, epoch, lt_v, ls_v, lm_v, stage)
             if on_step is not None:
                 on_step(step, params)
@@ -390,9 +349,7 @@ def train_meta(
     _check_inputs(config, [*sources, target_train])
     log = TrainLog()
     params = init_model(config.model, config.seed)
-    params = _train_loop(
-        config, params, target_train, config.epochs, "train", log, on_step, sources
-    )
+    params = _train_loop(config, params, target_train, "train", log, on_step, sources)
     return params, log
 
 
@@ -405,7 +362,7 @@ def train_plain(
     _check_inputs(config, [target_train])
     log = TrainLog()
     params = init_model(config.model, config.seed)
-    params = _train_loop(config, params, target_train, config.epochs, "train", log, on_step)
+    params = _train_loop(config, params, target_train, "train", log, on_step)
     return params, log
 
 
@@ -425,28 +382,19 @@ def train_transfer(
     config: MetaConfig,
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
-    pretrain_epochs: int | None = None,
-    finetune_epochs: int | None = None,
     on_step: OnStep | None = None,
 ) -> tuple[ModelParams, TrainLog]:
     """Pretrain on pooled sources, then fine-tune on the target split.
 
-    Both stages run plain Adam; the fine-tune stage starts a fresh optimizer
-    state and uses the same target batch stream as ``train_plain``. Stage
-    epoch counts default to ``config.epochs`` each; with ``pretrain_epochs=0``
-    the result matches ``train_plain`` exactly.
+    Both stages run ``config.epochs`` plain Adam passes; the fine-tune stage
+    starts a fresh optimizer state and uses the same target batch stream as
+    ``train_plain``.
     """
     if not sources:
         raise ValueError("train_transfer requires at least one source dataset")
-    pre_epochs = config.epochs if pretrain_epochs is None else pretrain_epochs
-    fin_epochs = config.epochs if finetune_epochs is None else finetune_epochs
-    if pre_epochs < 0 or fin_epochs < 1:
-        raise ValueError("pretrain epochs must be >= 0 and finetune epochs >= 1")
     _check_inputs(config, [*sources, target_train])
     log = TrainLog()
     params = init_model(config.model, config.seed)
-    if pre_epochs:
-        pooled = _pool_sources(sources)
-        params = _train_loop(config, params, pooled, pre_epochs, "pretrain", log, on_step)
-    params = _train_loop(config, params, target_train, fin_epochs, "finetune", log, on_step)
+    params = _train_loop(config, params, _pool_sources(sources), "pretrain", log, on_step)
+    params = _train_loop(config, params, target_train, "finetune", log, on_step)
     return params, log

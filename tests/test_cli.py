@@ -383,6 +383,26 @@ def test_non_finite_learning_rate_exits_two(
     assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got {value}\n"
 
 
+def test_diverging_training_exits_three_with_one_error_line(tmp_path, family_dir, capsys):
+    # numpy overflows on the way to the non-finite loss; only the error is shown
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", alpha=1e300, epochs=1)
+    code = main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: non-finite source loss nan at step 1 (epoch 1)\n"
+
+
+def test_out_of_memory_exits_two_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.21 GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_synth", exhausted)
+    code = main(["synth", "--out", str(tmp_path / "family")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.21 GiB for an array\n"
+    )
+
+
 def test_meta_without_sources_exits_two(tmp_path, family_dir, capsys):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(

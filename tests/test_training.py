@@ -1,15 +1,17 @@
 """Optimizers against hand recurrences; trainer equivalences and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metagx import autodiff as ad
 from metagx import training
-from metagx.data import ExpressionDataset
+from metagx.data import ExpressionDataset, sample_batch
 from metagx.errors import TrainingError
 from metagx.models import ModelConfig, ModelParams, forward, init_model, predict
+from metagx.synth import SynthSpec, generate_task_family
 
 from conftest import max_rel_err, numeric_grad
 
@@ -129,21 +131,21 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
         assert max_rel_err(got, fd) < 1e-4, name
 
 
-def test_meta_loss_mixing():
-    one, two = ad.Tensor(1.0), ad.Tensor(2.0)
-    assert training.meta_loss(one, two, 0.7).item() == pytest.approx(1.3, abs=1e-9)
-    assert training.meta_loss(one, two, 1.0).item() == 1.0
-    assert training.meta_loss(one, two, 0.0).item() == 2.0
-    with pytest.raises(ValueError):
-        training.meta_loss(one, two, 1.5)
-    # the mix is recorded, so it stays differentiable
-    tape = ad.Tape()
-    lt = tape.watch(np.array(1.0).reshape(()))
-    ls = tape.watch(np.array(2.0).reshape(()))
-    mixed = training.meta_loss(lt, ls, 0.25)
-    grads = ad.backward(mixed)
-    assert float(grads[lt.node].data) == pytest.approx(0.25)
-    assert float(grads[ls.node].data) == pytest.approx(0.75)
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_weighted_backward_equals_backward_of_the_scaled_loss(arch):
+    cfg = ModelConfig(arch, input_dim=12, hidden_dims=(5, 4), channels=3)
+    params = init_model(cfg, seed=8)
+    ds = make_ds("t", 9, 12, seed=9)
+
+    def leaf_grads(weight, fused):
+        tape = ad.Tape()
+        leaves = params.bind(tape)
+        loss = ad.bce_loss(forward(leaves, cfg, ad.Tensor(ds.matrix)), ad.Tensor(ds.labels))
+        grads = ad.backward(loss, weight) if fused else ad.backward(ad.mul(loss, weight))
+        return {name: grads[leaf.node].data.tobytes() for name, leaf in leaves.items()}
+
+    for weight in (0.0, 0.25, 1.0):
+        assert leaf_grads(weight, True) == leaf_grads(weight, False), weight
 
 
 def test_target_loss_matches_direct_bce():
@@ -156,42 +158,55 @@ def test_target_loss_matches_direct_bce():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_adapted_source_losses_mean_and_rng_determinism():
-    cfg = ModelConfig("mlp", input_dim=5, hidden_dims=(4,))
-    params = init_model(cfg, seed=5)
-    sources = [make_ds(f"s{i}", 20, 5, seed=10 + i) for i in range(3)]
+def test_first_step_source_loss_is_the_mean_of_recomputed_adapted_losses():
+    cfg = tiny_meta_config(epochs=1, batch_size=8, seed=5)
+    sources = [make_ds(f"s{i}", 20, 6, seed=10 + i) for i in range(3)]
+    target = make_ds("t", 16, 6, seed=13)
+    _, log = training.train_meta(cfg, sources, target)
 
-    def source_losses():
-        losses, _ = training._adapted_source_losses(
-            ad.Tape(), params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(9)
-        )
-        return [loss.item() for loss in losses], training._mean_of(losses).item()
-
-    per1, mean1 = source_losses()
-    per2, mean2 = source_losses()
-    assert per1 == per2
-    assert len(per1) == 3
-    assert mean1 == pytest.approx(sum(per1) / 3, abs=1e-12)
-    assert mean1 == mean2
+    params = init_model(cfg.model, cfg.seed)
+    rng = np.random.default_rng([cfg.seed, training._STREAM_SOURCE])
+    losses = []
+    for src in sources:
+        x, y = sample_batch(src.matrix, src.labels, cfg.batch_size, rng)
+        fast = training.inner_adapt(params, cfg.model, (x, y), cfg.inner_lr, cfg.inner_momentum)
+        losses.append(ad.bce_loss(ad.Tensor(predict(fast, cfg.model, x)), ad.Tensor(y)).item())
+    assert log.records[0].loss_source == pytest.approx(sum(losses) / 3, abs=1e-12)
+    # the step's source batches differ, so the mean is not one source's loss
+    assert len(set(losses)) == 3
 
 
-def test_lambda_zero_kills_target_gradient():
-    cfg = ModelConfig("mlp", input_dim=5, hidden_dims=(4,))
-    params = init_model(cfg, seed=6)
-    sources = [make_ds(f"s{i}", 20, 5, seed=20 + i) for i in range(2)]
-    target = make_ds("t", 16, 5, seed=30)
+def test_lambda_zero_ignores_the_target_batches():
+    cfg = tiny_meta_config(lam=0.0, epochs=2, batch_size=6, seed=4)
+    sources = [make_ds(f"s{i}", 20, 6, seed=20 + i) for i in range(2)]
+    first = make_ds("t", 16, 6, seed=30)
+    # same sample count, other values and flipped labels
+    other = ExpressionDataset("u", first.gene_ids, -2.0 * first.matrix + 1.0, 1.0 - first.labels)
+    p1, log1 = training.train_meta(cfg, sources, first)
+    p2, log2 = training.train_meta(cfg, sources, other)
+    assert [r.loss_target for r in log1.records] != [r.loss_target for r in log2.records]
+    for name in p1.names():
+        np.testing.assert_array_equal(p1[name], p2[name])
 
-    tape = ad.Tape()
-    base = params.bind(tape)
-    l_t = ad.bce_loss(forward(base, cfg, ad.Tensor(target.matrix)), ad.Tensor(target.labels))
-    src_losses, _ = training._adapted_source_losses(
-        tape, params, cfg, sources, 8, 4e-4, 0.2, np.random.default_rng(1)
+
+def test_meta_step_memory_does_not_grow_with_sources():
+    sources, target = generate_task_family(
+        SynthSpec(n_sources=4, source_samples=32, target_samples=32, n_features=300, seed=2)
     )
-    l_s = training._mean_of(src_losses)
-    l_m = training.meta_loss(l_t, l_s, 0.0)
-    grads = ad.backward(l_m)
-    for name, leaf in base.items():
-        assert np.max(np.abs(grads[leaf.node].data)) < 1e-12, name
+    cfg = training.MetaConfig(
+        model=ModelConfig("cnn", input_dim=300), epochs=1, batch_size=32, seed=1
+    )
+
+    def peak_bytes(srcs):
+        tracemalloc.start()
+        try:
+            training.train_meta(cfg, srcs, target)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak_bytes(sources[:1]), peak_bytes(sources)
+    assert four <= 1.25 * one, (one, four)
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +280,9 @@ def test_train_transfer_stages_and_plain_equivalence():
     assert [r.step for r in log_tr.records] == list(range(1, 15))
     assert log_tr.records[10].epoch == 1  # fine-tuning counts its own epochs
 
-    p_skip, _ = training.train_transfer(cfg, sources, target, pretrain_epochs=0)
     p_plain, _ = training.train_plain(cfg, target)
-    for name in p_skip.names():
-        np.testing.assert_array_equal(p_skip[name], p_plain[name])
     # pretraining must actually change the outcome
     assert any(not np.array_equal(p_tr[n], p_plain[n]) for n in p_tr.names())
-
-
-def test_train_transfer_validates_epochs():
-    cfg = tiny_meta_config()
-    sources = [make_ds("s", 10, 6, seed=1)]
-    target = make_ds("t", 10, 6, seed=2)
-    with pytest.raises(ValueError):
-        training.train_transfer(cfg, sources, target, pretrain_epochs=-1)
-    with pytest.raises(ValueError):
-        training.train_transfer(cfg, sources, target, finetune_epochs=0)
 
 
 def test_meta_config_validation():
