@@ -25,17 +25,15 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "add",
     "mul",
     "matmul",
-    "transpose",
+    "linear",
     "reshape",
     "pad_last",
     "mean",
     "reduce_sum",
-    "clamp",
     "leaky_relu",
-    "sigmoid",
+    "sigmoid_head",
     "softmax",
     "conv1d",
     "max_pool1d",
@@ -56,18 +54,6 @@ class Tensor:
         self.data = np.asarray(values, dtype=np.float64)
         self.tape = tape
         self.node = node
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -214,20 +200,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # arithmetic
 
 
-def add(a, b) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
-    a, b = _lift(a), _lift(b)
-    ashape, bshape = a.data.shape, b.data.shape
-    ta, tb = a.node is not None, b.node is not None
-
-    def vjp(g):
-        ga = _unbroadcast(g, ashape) if ta else None
-        gb = _unbroadcast(g, bshape) if tb else None
-        return ga, gb
-
-    return _record((a, b), a.data + b.data, vjp)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _lift(a), _lift(b)
@@ -242,6 +214,21 @@ def mul(a, b) -> Tensor:
     return _record((a, b), adata * bdata, vjp)
 
 
+def _check_matmul(op: str, a: Array, b: Array, b_stored_t: bool = False) -> None:
+    """Raise unless ``a @ b`` (``a @ b^T`` if ``b_stored_t``) is defined."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"{op} needs operands with ndim >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-1 if b_stored_t else -2]:
+        raise DimensionError(f"{op} inner dimensions differ: {a.shape} vs {b.shape}")
+
+
+def _matmul_grads(g: Array, a: Array, b: Array, ta: bool, tb: bool) -> list:
+    """Gradients of ``a @ b`` for the tracked operands, None for the others."""
+    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if ta else None
+    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape) if tb else None
+    return [ga, gb]
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product on the last two axes, batch dims broadcast.
 
@@ -249,30 +236,31 @@ def matmul(a, b) -> Tensor:
     """
     a, b = _lift(a), _lift(b)
     adata, bdata = a.data, b.data
-    if adata.ndim < 2 or bdata.ndim < 2:
-        raise DimensionError(
-            f"matmul needs operands with ndim >= 2, got {adata.shape} and {bdata.shape}"
-        )
-    if adata.shape[-1] != bdata.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions differ: {adata.shape} vs {bdata.shape}"
-        )
+    _check_matmul("matmul", adata, bdata)
     ta, tb = a.node is not None, b.node is not None
+    return _record((a, b), adata @ bdata, lambda g: _matmul_grads(g, adata, bdata, ta, tb))
+
+
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w^T (+ b)`` with ``w`` stored [..., out, in], batch dims broadcast, as
+    one node bitwise equal to the transpose/matmul/add chain it replaces."""
+    parents = [_lift(t) for t in ((x, w) if b is None else (x, w, b))]
+    xdata, wdata = parents[0].data, parents[1].data
+    _check_matmul("linear", xdata, wdata, b_stored_t=True)
+    wt = np.swapaxes(wdata, -1, -2)
+    out = xdata @ wt if b is None else xdata @ wt + parents[2].data
+    tracked = [p.node is not None for p in parents]
+    bshape = parents[-1].data.shape
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(bdata, -1, -2), adata.shape) if ta else None
-        gb = _unbroadcast(np.swapaxes(adata, -1, -2) @ g, bdata.shape) if tb else None
-        return ga, gb
+        grads = _matmul_grads(g, xdata, wt, tracked[0], tracked[1])
+        if tracked[1]:
+            grads[1] = np.swapaxes(grads[1], -1, -2)
+        if len(tracked) == 3:
+            grads.append(_unbroadcast(g, bshape) if tracked[2] else None)
+        return grads
 
-    return _record((a, b), adata @ bdata, vjp)
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes."""
-    a = _lift(a)
-    if a.data.ndim < 2:
-        raise DimensionError(f"transpose needs ndim >= 2, got shape {a.data.shape}")
-    return _record((a,), np.swapaxes(a.data, -1, -2), lambda g: (np.swapaxes(g, -1, -2),))
+    return _record(parents, out, vjp)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -342,20 +330,6 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
 # elementwise nonlinearities
 
 
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip values to [lo, hi]; gradient is 1 strictly inside, 0 at/beyond the rails."""
-    a = _lift(a)
-    if not lo < hi:
-        raise ValueError(f"clamp requires lo < hi, got [{lo}, {hi}]")
-    adata = a.data
-
-    def vjp(g):
-        # the mask is built here, so tape-free calls never pay for it
-        return (g * ((adata > lo) & (adata < hi)),)
-
-    return _record((a,), np.clip(adata, lo, hi), vjp)
-
-
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
     """max(x, slope*x) with 0 < slope < 1; the gradient at exactly 0 is 1."""
     a = _lift(a)
@@ -378,11 +352,34 @@ def _sigmoid_values(x: Array) -> Array:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    """Logistic function, computed on the overflow-free branch per sign."""
-    a = _lift(a)
-    out = _sigmoid_values(a.data)
-    return _record((a,), out, lambda g: (g * out * (1.0 - out),))
+# the probability rails of sigmoid_head and bce_loss: [_EPS, 1 - _EPS]
+_EPS = 1e-7
+
+
+def sigmoid_head(x, w) -> Tensor:
+    """[n] probabilities ``clip(sigmoid(x @ w^T), _EPS, 1 - _EPS)`` of [n, k] features
+    and a [1, k] weight, zero gradient on the rails, as one node bitwise equal
+    to the transpose/matmul/reshape/sigmoid/clamp chain it replaces."""
+    x, w = _lift(x), _lift(w)
+    xdata, wdata = x.data, w.data
+    _check_matmul("sigmoid_head", xdata, wdata, b_stored_t=True)
+    if xdata.ndim != 2 or wdata.shape[:-1] != (1,):
+        raise DimensionError(
+            f"sigmoid_head needs [n, k] and [1, k] inputs, got {xdata.shape} and {wdata.shape}"
+        )
+    wt = np.swapaxes(wdata, -1, -2)
+    n = xdata.shape[0]
+    s = _sigmoid_values((xdata @ wt).reshape(n))
+    tx, tw = x.node is not None, w.node is not None
+
+    def vjp(g):
+        g = (g * ((s > _EPS) & (s < 1.0 - _EPS)) * s * (1.0 - s)).reshape(n, 1)
+        grads = _matmul_grads(g, xdata, wt, tx, tw)
+        if tw:
+            grads[1] = np.swapaxes(grads[1], -1, -2)
+        return grads
+
+    return _record((x, w), np.clip(s, _EPS, 1.0 - _EPS), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -496,15 +493,14 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # loss
 
-_BCE_EPS = 1e-7
-
 
 def bce_loss(pred, label) -> Tensor:
     """Mean binary cross-entropy over a 1-D batch of probabilities.
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs so that hard
-    0/1 scores stay finite; the gradient is zero at and beyond those rails.
-    Labels must be exactly 0 or 1 and get no gradient. Records one node.
+    Predictions are clipped to sigmoid_head's rails before the logs (a no-op
+    on its outputs) so that hard 0/1 scores stay finite; the gradient is zero
+    at and beyond the rails. Labels must be exactly 0 or 1 and get no
+    gradient. Records one node.
     """
     pred, label = _lift(pred), _lift(label)
     if pred.data.ndim != 1 or label.data.ndim != 1:
@@ -520,7 +516,7 @@ def bce_loss(pred, label) -> Tensor:
     if not np.all((label.data == 0.0) | (label.data == 1.0)):
         raise ValueError("bce_loss labels must be exactly 0 or 1")
     x, y = pred.data, label.data
-    lo, hi = _BCE_EPS, 1.0 - _BCE_EPS
+    lo, hi = _EPS, 1.0 - _EPS
     p = np.clip(x, lo, hi)
     q = 1.0 - p
     n = x.size

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import re
 import sys
@@ -97,16 +98,27 @@ class RunConfig:
         return ModelConfig(input_dim=input_dim, **model)
 
     def meta_config(self, input_dim: int) -> MetaConfig:
-        return MetaConfig(
-            model=self.model_config(input_dim),
-            inner_lr=self.alpha,
-            inner_momentum=self.momentum,
-            outer_lr=self.beta,
-            lam=self.lam,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        model = self.model_config(input_dim)
+        values = {field: getattr(self, name) for field, name in _META_FIELDS.items()}
+        with _user_names({field: _ini_key(name) for field, name in _META_FIELDS.items()}):
+            return MetaConfig(model=model, **values)
+
+
+# MetaConfig field -> the RunConfig field that sets it
+_META_FIELDS = {
+    "inner_lr": "alpha", "inner_momentum": "momentum", "outer_lr": "beta", "lam": "lam",
+    "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
+}
+
+
+@contextlib.contextmanager
+def _user_names(names: dict[str, str]):
+    """Re-raise a ValueError naming the settings the user typed, per ``names``."""
+    try:
+        yield
+    except ValueError as exc:
+        pattern = r"\b(" + "|".join(names) + r")\b"
+        raise ValueError(re.sub(pattern, lambda m: names[m[1]], str(exc))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +488,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     values = {
         field: getattr(args, flag[2:].replace("-", "_")) for field, flag in _SYNTH_FLAGS.items()
     }
-    try:
+    with _user_names(_SYNTH_FLAGS):
         spec = SynthSpec(**values, seed=cfg.seed)
-    except ValueError as exc:
-        # SynthSpec names its fields; report the flags the user typed
-        fields_re = r"\b(" + "|".join(_SYNTH_FLAGS) + r")\b"
-        raise ValueError(re.sub(fields_re, lambda m: _SYNTH_FLAGS[m[1]], str(exc))) from None
     sources, target = generate_task_family(spec)
     out = _out_dir(cfg)
     manifest: dict = {

@@ -2,7 +2,8 @@
 
 Three architectures share one interface: a named parameter set, a forward
 function mapping an [n, d] batch to per-sample probabilities, and a common
-initializer. All heads end in a sigmoid clamped to [1e-7, 1 - 1e-7] so
+initializer. Every dense layer is one ``autodiff.linear`` op, and every model
+ends in ``autodiff.sigmoid_head``, a sigmoid clipped to [1e-7, 1 - 1e-7], so
 downstream losses and attributions always see probabilities strictly inside
 (0, 1).
 
@@ -237,18 +238,12 @@ def _require(tensors: Mapping[str, Tensor], name: str) -> Tensor:
     return tensors[name]
 
 
-def _head(config: ModelConfig, features: Tensor, weight: Tensor) -> Tensor:
-    n = features.data.shape[0]
-    logits = ad.reshape(ad.matmul(features, ad.transpose(weight)), (n,))
-    return ad.clamp(ad.sigmoid(logits), ad._BCE_EPS, 1.0 - ad._BCE_EPS)
-
-
 def forward_mlp(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:
     """Fully connected stack: affine + leaky-relu per hidden layer, sigmoid head."""
     _check_batch(config, batch)
     w = _require(tensors, "hidden.0.weight")
     b = _require(tensors, "hidden.0.bias")
-    return forward_mlp_tail(tensors, config, ad.add(ad.matmul(batch, ad.transpose(w)), b))
+    return forward_mlp_tail(tensors, config, ad.linear(batch, w, b))
 
 
 def forward_mlp_tail(
@@ -260,8 +255,8 @@ def forward_mlp_tail(
     for i in range(1, len(config.hidden_dims)):
         w = _require(tensors, f"hidden.{i}.weight")
         b = _require(tensors, f"hidden.{i}.bias")
-        h = ad.leaky_relu(ad.add(ad.matmul(h, ad.transpose(w)), b), config.leaky_slope)
-    return _head(config, h, _require(tensors, "output.weight"))
+        h = ad.leaky_relu(ad.linear(h, w, b), config.leaky_slope)
+    return ad.sigmoid_head(h, _require(tensors, "output.weight"))
 
 
 def forward_cnn(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:
@@ -277,7 +272,7 @@ def forward_cnn(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tenso
         h = ad.max_pool1d(h, config.pool_size, config.pool_stride)
     flat = config.channels * conv_output_length(config)
     h = ad.reshape(h, (n, flat))
-    return _head(config, h, _require(tensors, "output.weight"))
+    return ad.sigmoid_head(h, _require(tensors, "output.weight"))
 
 
 def forward_transformer(
@@ -291,14 +286,14 @@ def forward_transformer(
     pad = config.tokens * chunk - config.input_dim
     h = ad.pad_last(batch, pad) if pad else batch
     tokens = ad.reshape(h, (n, config.tokens, chunk))
-    emb = ad.matmul(tokens, ad.transpose(_require(tensors, "token.weight")))
-    q = ad.matmul(emb, ad.transpose(_require(tensors, "query.weight")))
-    k = ad.matmul(emb, ad.transpose(_require(tensors, "key.weight")))
-    v = ad.matmul(emb, ad.transpose(_require(tensors, "value.weight")))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(config.embed_dim))
+    emb = ad.linear(tokens, _require(tensors, "token.weight"))
+    q = ad.linear(emb, _require(tensors, "query.weight"))
+    k = ad.linear(emb, _require(tensors, "key.weight"))
+    v = ad.linear(emb, _require(tensors, "value.weight"))
+    scores = ad.mul(ad.linear(q, k), 1.0 / math.sqrt(config.embed_dim))
     att = ad.matmul(ad.softmax(scores, axis=-1), v)
     pooled = ad.mean(att, axis=1)
-    return _head(config, pooled, _require(tensors, "output.weight"))
+    return ad.sigmoid_head(pooled, _require(tensors, "output.weight"))
 
 
 _FORWARDS = {

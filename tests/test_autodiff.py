@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagx import autodiff as ad
 from metagx.errors import DimensionError
@@ -36,10 +38,11 @@ def check_op_grad(build, x, step=1e-5):
 def test_add_mul_forward_and_broadcast():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = ad.Tensor([10.0, 20.0])
-    np.testing.assert_array_equal(ad.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
+    # linear's bias is the broadcast add: a @ I^T + b
+    np.testing.assert_array_equal(ad.linear(a, np.eye(2), b).data, [[11.0, 22.0], [13.0, 24.0]])
     np.testing.assert_array_equal(ad.mul(a, 2.0).data, [[2.0, 4.0], [6.0, 8.0]])
     np.testing.assert_array_equal(ad.mul(a, b).data, [[10.0, 40.0], [30.0, 80.0]])
-    np.testing.assert_array_equal(ad.add(1.0, b).data, [11.0, 21.0])
+    np.testing.assert_array_equal(ad.mul(1.0, b).data, [10.0, 20.0])
 
 
 def test_matmul_forward_matches_numpy():
@@ -85,11 +88,15 @@ def test_leaky_relu_tape_free_forward_equals_taped_bitwise():
 
 
 def test_sigmoid_extremes_stay_finite_and_ordered():
-    y = ad.sigmoid(ad.Tensor([-50.0, 0.0, 50.0])).data
-    assert 0.0 <= y[0] < 1e-20
-    assert y[1] == 0.5
-    assert y[2] <= 1.0 and 1.0 - y[2] < 1e-20
-    assert np.all(np.isfinite(ad.sigmoid(ad.Tensor([-1e6, 1e6])).data))
+    def head(logits):
+        return ad.sigmoid_head(np.array(logits).reshape(-1, 1), np.ones((1, 1))).data
+
+    y = head([-50.0, -10.0, 0.0, 10.0, 50.0])
+    # the logistic saturates far below and above; the head clips it to the rails
+    assert y[0] == 1e-7 and y[4] == 1.0 - 1e-7
+    assert y[2] == 0.5
+    assert np.all(np.diff(y) > 0.0)
+    np.testing.assert_array_equal(head([-1e6, 1e6]), [1e-7, 1.0 - 1e-7])
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariance():
@@ -213,6 +220,108 @@ def test_bce_loss_is_one_node_bitwise_equal_to_the_unfused_chain(preds, labels, 
     assert grad.tobytes() == want_grad.tobytes()
 
 
+def unfused_linear(x, w, b, g):
+    """Value of the transpose/matmul/add chain that linear replaced, and the
+    gradients of ``sum(out * g)`` for x, w and b by that chain's backward
+    sweep: one line per node, in its order of accumulation."""
+    wt = np.swapaxes(w, -1, -2)  # transpose
+    out = x @ wt  # matmul
+    if b is not None:
+        out = out + b  # add
+    g_b = None if b is None else g.sum(axis=tuple(range(g.ndim - 1)))  # add
+    g_x = g @ np.swapaxes(wt, -1, -2)  # matmul
+    g_wt = np.swapaxes(x, -1, -2) @ g
+    g_wt = g_wt.sum(axis=tuple(range(g_wt.ndim - wt.ndim)))  # matmul's batch dims
+    g_w = np.swapaxes(g_wt, -1, -2)  # transpose
+    return out, g_x, g_w, g_b
+
+
+def unfused_head(x, w, g):
+    """Value of the transpose/matmul/reshape/sigmoid/clamp chain that
+    sigmoid_head replaced, and the gradients of ``sum(out * g)`` for x and w
+    by that chain's backward sweep: one line per node."""
+    lo, hi = 1e-7, 1.0 - 1e-7
+    wt = np.swapaxes(w, -1, -2)  # transpose
+    m = x @ wt  # matmul
+    z = m.reshape(x.shape[0])  # reshape
+    s = ad._sigmoid_values(z)  # sigmoid
+    out = np.clip(s, lo, hi)  # clamp
+    g_s = g * ((s > lo) & (s < hi))  # clamp
+    g_z = g_s * s * (1.0 - s)  # sigmoid
+    g_m = g_z.reshape(m.shape)  # reshape
+    g_x = g_m @ np.swapaxes(wt, -1, -2)  # matmul
+    g_wt = np.swapaxes(x, -1, -2) @ g_m
+    return out, g_x, np.swapaxes(g_wt, -1, -2)  # transpose
+
+
+# input shape, weight shape, bias shape or None; the 2-D products are large
+# enough that (x^T g)^T and g^T x round differently
+_LINEAR_SHAPES = {
+    "2d-bias": ((64, 300), (128, 300), (128,)),  # an MLP layer
+    "2d": ((64, 300), (128, 300), None),
+    "batched-input": ((2, 4, 5), (3, 5), None),  # the token and q/k/v projections
+    "batched-weight": ((2, 4, 5), (2, 4, 5), None),  # the scores q @ k^T
+}
+
+
+@pytest.mark.parametrize("case", _LINEAR_SHAPES)
+def test_linear_is_one_node_bitwise_equal_to_the_unfused_chain(case):
+    x_shape, w_shape, b_shape = _LINEAR_SHAPES[case]
+    rng = np.random.default_rng(len(case))
+    x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    b = None if b_shape is None else rng.standard_normal(b_shape)
+    g = rng.standard_normal(x_shape[:-1] + w_shape[-2:-1])
+    want_out, *want_grads = unfused_linear(x, w, b, g)
+    tape = ad.Tape()
+    leaves = [tape.watch(a) for a in (x, w, b) if a is not None]
+    out = ad.linear(*leaves)
+    assert out.node == leaves[-1].node + 1
+    assert out.data.tobytes() == want_out.tobytes()
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    for leaf, want in zip(leaves, want_grads):
+        assert grads[leaf.node].data.tobytes() == want.tobytes()
+
+
+_HEAD_INPUTS = {
+    "random": (np.random.default_rng(5).standard_normal((200, 40)), np.full((1, 40), 0.2)),
+    # logits inside, just past and far beyond the rails at +-16.118
+    "rails": (
+        np.array([[-800.0], [-40.0], [-16.2], [-16.1], [0.0], [16.1], [16.2], [40.0], [800.0]]),
+        np.ones((1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _HEAD_INPUTS)
+def test_sigmoid_head_is_one_node_bitwise_equal_to_the_unfused_chain(case):
+    x, w = _HEAD_INPUTS[case]
+    g = np.random.default_rng(6).standard_normal(x.shape[0])
+    want_out, want_gx, want_gw = unfused_head(x, w, g)
+    tape = ad.Tape()
+    xt, wt = tape.watch(x), tape.watch(w)
+    out = ad.sigmoid_head(xt, wt)
+    assert out.node == wt.node + 1
+    assert out.data.tobytes() == want_out.tobytes()
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    assert grads[xt.node].data.tobytes() == want_gx.tobytes()
+    assert grads[wt.node].data.tobytes() == want_gw.tobytes()
+
+
+def test_linear_and_sigmoid_head_shape_errors():
+    x = np.ones((2, 3))
+    with pytest.raises(DimensionError, match="linear inner dimensions differ"):
+        ad.linear(x, np.ones((4, 2)))
+    with pytest.raises(DimensionError, match="ndim >= 2"):
+        ad.linear(x, np.ones(3))
+    with pytest.raises(DimensionError, match="sigmoid_head inner dimensions differ"):
+        ad.sigmoid_head(x, np.ones((1, 4)))
+    for weight in (np.ones((2, 3)), np.ones((1, 1, 3))):
+        with pytest.raises(DimensionError, match=r"\[n, k\] and \[1, k\] inputs"):
+            ad.sigmoid_head(x, weight)
+    with pytest.raises(DimensionError, match=r"\[n, k\] and \[1, k\] inputs"):
+        ad.sigmoid_head(np.ones((2, 2, 3)), np.ones((1, 3)))
+
+
 def conv1d_loop_oracle(x, w, stride, padding, g):
     """conv1d output and the gradients of sum(out * g), by plain loops."""
     nb, c_in, length = x.shape
@@ -287,7 +396,9 @@ def test_grad_add_mul_sub_broadcast(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 4))
     c = rng.standard_normal(4)
-    check_op_grad(lambda t: ad.mean(ad.mul(ad.add(t, ad.Tensor(c)), ad.add(t, -0.5))), x)
+    eye = np.eye(4)
+    half = np.full(4, -0.5)
+    check_op_grad(lambda t: ad.mean(ad.mul(ad.linear(t, eye, c), ad.linear(t, eye, half))), x)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -311,14 +422,16 @@ def test_grad_matmul_batched_operand():
     "build",
     [
         lambda t: ad.mean(ad.leaky_relu(t, 0.01)),
-        lambda t: ad.mean(ad.sigmoid(t)),
+        lambda t: ad.mean(ad.sigmoid_head(t, np.array([[0.5, -1.0, 2.0, 0.25]]))),
         lambda t: ad.mean(ad.mul(ad.softmax(t, axis=-1), ad.Tensor(np.arange(12.0).reshape(3, 4)))),
-        lambda t: ad.bce_loss(ad.sigmoid(ad.reshape(t, (12,))), ad.Tensor(np.arange(12.0) % 2)),
+        lambda t: ad.bce_loss(
+            ad.sigmoid_head(ad.reshape(t, (12, 1)), np.ones((1, 1))), ad.Tensor(np.arange(12.0) % 2)
+        ),
         lambda t: ad.mean(ad.reduce_sum(ad.mul(t, t), axis=1)),
-        lambda t: ad.mean(ad.transpose(t)),
+        lambda t: ad.mean(ad.linear(t, np.arange(8.0).reshape(2, 4), np.array([1.0, -1.0]))),
         lambda t: ad.mean(ad.reshape(t, (4, 3))),
         lambda t: ad.mean(ad.pad_last(t, 3)),
-        lambda t: ad.mean(ad.mul(ad.clamp(t, -0.5, 0.5), ad.Tensor(np.ones((3, 4))))),
+        lambda t: ad.mean(ad.mul(ad.linear(np.arange(20.0).reshape(5, 4) / 10, t), np.arange(3.0))),
     ],
 )
 def test_grad_elementwise_and_shape_ops(build):
@@ -349,7 +462,10 @@ def test_grad_bce_loss(seed):
     rng = np.random.default_rng(seed + 20)
     logits = rng.standard_normal(8)
     labels = (rng.random(8) < 0.5).astype(np.float64)
-    check_op_grad(lambda t: ad.bce_loss(ad.sigmoid(t), ad.Tensor(labels)), logits)
+    check_op_grad(
+        lambda t: ad.bce_loss(ad.sigmoid_head(ad.reshape(t, (8, 1)), np.ones((1, 1))), labels),
+        logits,
+    )
 
 
 def test_grad_softmax_attention_stack():
@@ -359,11 +475,36 @@ def test_grad_softmax_attention_stack():
     v = rng.standard_normal((2, 3, 4))
 
     def build(t):
-        scores = ad.mul(ad.matmul(t, ad.transpose(ad.Tensor(k))), 1.0 / 2.0)
+        scores = ad.mul(ad.linear(t, ad.Tensor(k)), 1.0 / 2.0)
         att = ad.matmul(ad.softmax(scores, axis=-1), ad.Tensor(v))
         return ad.mean(att)
 
     check_op_grad(build, q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    batch=st.sampled_from([(), (2,)]),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    out=st.integers(1, 3),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_and_sigmoid_head_vjps_match_finite_differences(batch, n, k, out, bias, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(batch + (n, k))
+    w = rng.standard_normal((out, k))
+    b = rng.standard_normal(out) if bias else None
+    g = rng.standard_normal(batch + (n, out))
+    # linear is linear in each input, so a wide step differences it exactly
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(t, w, b), g)), x, step=1e-3)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(x, t, b), g)), w, step=1e-3)
+    if bias:
+        check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(x, w, t), g)), b, step=1e-3)
+    h, v, gh = x.reshape(-1, k), w[:1], g.reshape(-1, out)[:, 0]
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.sigmoid_head(t, v), gh)), h, step=1e-4)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.sigmoid_head(h, t), gh)), v, step=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +524,10 @@ def test_watched_leaf_unreached_gets_zero_gradient():
 def test_gradient_accumulates_across_reuse():
     tape = ad.Tape()
     a = tape.watch(np.array(3.0).reshape(()))
-    # f = a*a + 2a  -> df/da = 2a + 2 = 8
-    loss = ad.add(ad.mul(a, a), ad.mul(a, 2.0))
+    # f = a*a*a  -> df/da = 3a^2 = 27, summed over three uses
+    loss = ad.mul(ad.mul(a, a), a)
     g = ad.backward(loss)[a.node].data
-    assert float(g) == pytest.approx(8.0, abs=1e-12)
+    assert float(g) == pytest.approx(27.0, abs=1e-12)
 
 
 def test_backward_requires_scalar_and_tape():
@@ -414,7 +555,7 @@ def test_mixed_tapes_rejected():
     a = t1.watch(np.ones(2))
     b = t2.watch(np.ones(2))
     with pytest.raises(ValueError):
-        ad.add(a, b)
+        ad.mul(a, b)
 
 
 def test_constants_do_not_record():
@@ -464,17 +605,17 @@ def _watched(tape, *shape):
 # one call per recording op on watched leaves; the reductions chain their
 # axis and whole-array forms
 _OP_CALLS = {
-    "add": lambda t: ad.add(_watched(t, 2, 3), _watched(t, 3)),
     "mul": lambda t: ad.mul(_watched(t, 2, 3), _watched(t, 3)),
     "matmul": lambda t: ad.matmul(_watched(t, 2, 3), _watched(t, 3, 4)),
-    "transpose": lambda t: ad.transpose(_watched(t, 2, 3)),
+    "linear": lambda t: ad.linear(
+        ad.linear(_watched(t, 2, 3), _watched(t, 4, 3)), _watched(t, 5, 4), _watched(t, 5)
+    ),
     "reshape": lambda t: ad.reshape(_watched(t, 2, 3), (3, 2)),
     "pad_last": lambda t: ad.pad_last(_watched(t, 2, 3), 2),
     "mean": lambda t: ad.mean(ad.mean(_watched(t, 2, 3), axis=0)),
     "reduce_sum": lambda t: ad.reduce_sum(ad.reduce_sum(_watched(t, 2, 3), axis=1)),
-    "clamp": lambda t: ad.clamp(_watched(t, 2, 3), 0.2, 0.8),
     "leaky_relu": lambda t: ad.leaky_relu(_watched(t, 2, 3)),
-    "sigmoid": lambda t: ad.sigmoid(_watched(t, 2, 3)),
+    "sigmoid_head": lambda t: ad.sigmoid_head(_watched(t, 2, 3), _watched(t, 1, 3)),
     "softmax": lambda t: ad.softmax(_watched(t, 2, 3)),
     "conv1d": lambda t: ad.conv1d(_watched(t, 2, 3, 8), _watched(t, 4, 3, 3), padding=1),
     "max_pool1d": lambda t: ad.max_pool1d(_watched(t, 2, 3, 8), 2, 2),

@@ -380,7 +380,37 @@ def test_non_finite_learning_rate_exits_two(
     cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", **{key: value})
     code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got {value}\n"
+    # the message names the key the user typed, not the MetaConfig field
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be finite and > 0, got {value}\n"
+    assert field not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [
+        ("alpha", "-1", "alpha must be finite and > 0, got -1.0"),
+        ("beta", "0", "beta must be finite and > 0, got 0.0"),
+        ("momentum", "1", "momentum must be in [0, 1), got 1.0"),
+        ("lambda", "2", "lambda must be in [0, 1], got 2.0"),
+        ("--lambda", "-0.5", "lambda must be in [0, 1], got -0.5"),
+    ],
+)
+def test_bad_training_setting_exits_two_naming_the_key(
+    tmp_path, family_dir, capsys, key, value, want
+):
+    # MetaConfig names its own fields (inner_lr, lam, ...); the error names the key typed
+    flags, overrides = [], {}
+    if key.startswith("--"):
+        flags = [key, value]
+    elif key in ("alpha", "beta"):
+        overrides = {key: value}
+    else:
+        overrides = {"lambda_line": f"{key} = {value}\n"}
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", **overrides)
+    code = main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_diverging_training_exits_three_with_one_error_line(tmp_path, family_dir, capsys):
