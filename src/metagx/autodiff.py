@@ -101,19 +101,25 @@ class Tape:
         return len(self._nodes) - 1
 
 
-def backward(loss: Tensor, weight: float = 1.0) -> dict[int, Tensor]:
+def backward(loss: Tensor, weight: float | Array = 1.0) -> dict[int, Tensor]:
     """Reverse sweep: gradients of ``weight * loss`` for every watched leaf.
 
     Returns a map from leaf node id (as handed out by ``Tape.watch``) to the
     gradient tensor, shaped like the leaf. Leaves the loss never reached get
-    exact zeros. The loss must be a 0-d tensor recorded on a tape. Seeding
-    the sweep with ``weight`` gives the same bits as recording
+    exact zeros. The loss must be a 0-d tensor recorded on a tape, or the [Λ]
+    per-slice losses of a stacked model with a [Λ] ``weight``: slice i of each
+    gradient is then slice i's own gradient of ``weight[i] * loss[i]``.
+    Seeding the sweep with ``weight`` gives the same bits as recording
     ``mul(loss, weight)`` and sweeping from that.
     """
     if loss.tape is None or loss.node is None:
         raise ValueError("backward requires a tensor recorded on a tape")
-    if loss.data.ndim != 0:
-        raise DimensionError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    shape = loss.data.shape
+    if shape != () and (len(shape) != 1 or np.shape(weight) != shape):
+        raise DimensionError(
+            f"backward requires a scalar loss, or a [Λ] loss with a [Λ] weight, "
+            f"got shapes {shape} and {np.shape(weight)}"
+        )
     tape = loss.tape
     if tape._consumed:
         raise RuntimeError("tape already consumed by backward; build a fresh tape")
@@ -121,7 +127,7 @@ def backward(loss: Tensor, weight: float = 1.0) -> dict[int, Tensor]:
 
     nodes = tape._nodes
     grads: list[Array | None] = [None] * len(nodes)
-    grads[loss.node] = np.ones((), dtype=np.float64) * weight
+    grads[loss.node] = np.ones(shape) * weight
     for nid in range(loss.node, -1, -1):
         g = grads[nid]
         node = nodes[nid]
@@ -243,21 +249,36 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b=None) -> Tensor:
     """``x @ w^T (+ b)`` with ``w`` stored [..., out, in], batch dims broadcast, as
-    one node bitwise equal to the transpose/matmul/add chain it replaces."""
+    one node bitwise equal to the transpose/matmul/add chain it replaces.
+
+    ``b`` is shaped ``w.shape[:-1]`` and added over the batch axis, so a
+    stacked weight [Λ, out, in] takes a stacked bias [Λ, out] and maps a
+    shared [B, in] or a stacked [Λ, B, in] input to [Λ, B, out], each slice
+    bitwise equal to the 2-D call on that slice's parameters.
+    """
     parents = [_lift(t) for t in ((x, w) if b is None else (x, w, b))]
     xdata, wdata = parents[0].data, parents[1].data
     _check_matmul("linear", xdata, wdata, b_stored_t=True)
     wt = np.swapaxes(wdata, -1, -2)
-    out = xdata @ wt if b is None else xdata @ wt + parents[2].data
+    if b is None:
+        out = xdata @ wt
+    else:
+        bshape = parents[2].data.shape
+        if bshape != wdata.shape[:-1]:
+            raise DimensionError(
+                f"linear bias must be shaped {wdata.shape[:-1]} for weight {wdata.shape}, "
+                f"got {bshape}"
+            )
+        brow = np.expand_dims(parents[2].data, -2)
+        out = xdata @ wt + brow
     tracked = [p.node is not None for p in parents]
-    bshape = parents[-1].data.shape
 
     def vjp(g):
         grads = _matmul_grads(g, xdata, wt, tracked[0], tracked[1])
         if tracked[1]:
             grads[1] = np.swapaxes(grads[1], -1, -2)
         if len(tracked) == 3:
-            grads.append(_unbroadcast(g, bshape) if tracked[2] else None)
+            grads.append(_unbroadcast(g, brow.shape).reshape(bshape) if tracked[2] else None)
         return grads
 
     return _record(parents, out, vjp)
@@ -359,21 +380,26 @@ _EPS = 1e-7
 def sigmoid_head(x, w) -> Tensor:
     """[n] probabilities ``clip(sigmoid(x @ w^T), _EPS, 1 - _EPS)`` of [n, k] features
     and a [1, k] weight, zero gradient on the rails, as one node bitwise equal
-    to the transpose/matmul/reshape/sigmoid/clamp chain it replaces."""
+    to the transpose/matmul/reshape/sigmoid/clamp chain it replaces.
+
+    A stacked [Λ, n, k] input and [Λ, 1, k] weight give [Λ, n], each slice
+    bitwise equal to the 2-D call on that slice.
+    """
     x, w = _lift(x), _lift(w)
     xdata, wdata = x.data, w.data
     _check_matmul("sigmoid_head", xdata, wdata, b_stored_t=True)
-    if xdata.ndim != 2 or wdata.shape[:-1] != (1,):
+    if wdata.shape != xdata.shape[:-2] + (1, xdata.shape[-1]):
         raise DimensionError(
-            f"sigmoid_head needs [n, k] and [1, k] inputs, got {xdata.shape} and {wdata.shape}"
+            f"sigmoid_head needs [n, k] and [1, k] inputs, or [Λ, n, k] and [Λ, 1, k], "
+            f"got {xdata.shape} and {wdata.shape}"
         )
     wt = np.swapaxes(wdata, -1, -2)
-    n = xdata.shape[0]
-    s = _sigmoid_values((xdata @ wt).reshape(n))
+    shape = xdata.shape[:-1]
+    s = _sigmoid_values((xdata @ wt).reshape(shape))
     tx, tw = x.node is not None, w.node is not None
 
     def vjp(g):
-        g = (g * ((s > _EPS) & (s < 1.0 - _EPS)) * s * (1.0 - s)).reshape(n, 1)
+        g = (g * ((s > _EPS) & (s < 1.0 - _EPS)) * s * (1.0 - s)).reshape(shape + (1,))
         grads = _matmul_grads(g, xdata, wt, tx, tw)
         if tw:
             grads[1] = np.swapaxes(grads[1], -1, -2)
@@ -479,13 +505,17 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
         np.copyto(arg, k, where=cand > out)
         np.maximum(out, cand, out=out)
 
+    # the VJP needs the input's shape and size only; holding the input itself
+    # would keep every pooled activation alive until backward
+    shape, size = x3.shape, x3.size
+
     def vjp(g):
         nb, nc, nw = arg.shape
         # flat index of each window's maximum; bincount sums repeated picks
         rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
         flat = rows + np.arange(nw) * stride + arg
-        gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=x3.size)
-        return (gx.reshape(x3.shape),)
+        gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=size)
+        return (gx.reshape(shape),)
 
     return _record((x,), out, vjp)
 
@@ -500,14 +530,16 @@ def bce_loss(pred, label) -> Tensor:
     Predictions are clipped to sigmoid_head's rails before the logs (a no-op
     on its outputs) so that hard 0/1 scores stay finite; the gradient is zero
     at and beyond the rails. Labels must be exactly 0 or 1 and get no
-    gradient. Records one node.
+    gradient. Records one node. Stacked [Λ, n] predictions of one [n] batch
+    give the [Λ] per-slice means, each bitwise equal to the 1-D call.
     """
     pred, label = _lift(pred), _lift(label)
-    if pred.data.ndim != 1 or label.data.ndim != 1:
+    if pred.data.ndim not in (1, 2) or label.data.ndim != 1:
         raise DimensionError(
-            f"bce_loss expects 1-D inputs, got {pred.data.shape} and {label.data.shape}"
+            f"bce_loss expects [n] or [Λ, n] predictions and [n] labels, "
+            f"got {pred.data.shape} and {label.data.shape}"
         )
-    if pred.data.shape != label.data.shape:
+    if pred.data.shape[-1:] != label.data.shape:
         raise DimensionError(
             f"bce_loss length mismatch: {pred.data.shape} vs {label.data.shape}"
         )
@@ -519,13 +551,13 @@ def bce_loss(pred, label) -> Tensor:
     lo, hi = _EPS, 1.0 - _EPS
     p = np.clip(x, lo, hi)
     q = 1.0 - p
-    n = x.size
+    n = y.size
 
     # these expressions, in this order, are those of the unfused
     # clamp/log/mul/mean chain; tests hold the op to that chain bit for bit
     def vjp(g):
-        gm = -g / n
+        gm = -g[..., None] / n
         gp = -(gm * (1.0 - y) / q) + gm * y / p
         return gp * ((x > lo) & (x < hi)), None
 
-    return _record((pred, label), -(y * np.log(p) + (1.0 - y) * np.log(q)).mean(), vjp)
+    return _record((pred, label), -(y * np.log(p) + (1.0 - y) * np.log(q)).mean(axis=-1), vjp)

@@ -8,7 +8,7 @@ average precision with tied scores collapsed into one threshold group.
 Cross-validation drives the full pipeline per fold: shared-gene selection,
 optional interaction filtering, normalization fitted on the training side
 only, training with a fold-specific seed, and evaluation on the held-out
-fold.
+fold. The mixing-weight sweep runs the same folds once for all its weights.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,11 +32,27 @@ from .data import (
 )
 from .errors import DimensionError, MetricError
 from .models import ModelParams, predict
-from .training import MetaConfig, TrainLog, train_meta, train_plain, train_transfer
+from .training import (
+    MetaConfig,
+    TrainLog,
+    train_meta,
+    train_meta_stacked,
+    train_plain,
+    train_transfer,
+)
 
 Array = np.ndarray
 
 TRAINERS = ("plain", "transfer", "meta")
+
+# Most mixing weights a sweep trains as one stacked MLP. Stacking multiplies
+# every parameter-sized array by the block size: the parameters, the Adam
+# moments, the gradient maps and the adapted copy. On the family-d50-mlp
+# benchmark (2 vCPUs) all six default weights in one block raised peak RSS
+# from 45 to 53 MB, past its 10% bound, for a sweep of 0.42 s; blocks of 3
+# take 0.51 s at 48 MB, against 0.69 s one weight at a time. A fixed block
+# also keeps peak memory independent of how many weights a sweep lists.
+_LAMBDA_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -258,6 +274,58 @@ def prepare_cohorts(
     return genes, norm_sources, project(target, genes)
 
 
+@dataclass(frozen=True)
+class _Fold:
+    """One cross-validation fold, ready to train and score."""
+
+    config: MetaConfig
+    sources: list[ExpressionDataset]
+    train: ExpressionDataset
+    test_matrix: Array
+    test_labels: Array
+
+
+def _folds(
+    sources: Sequence[ExpressionDataset],
+    target: ExpressionDataset,
+    config: MetaConfig,
+    k: int,
+    interactions: GeneInteractionSet | None,
+) -> Iterator[_Fold]:
+    """Prepare the cohorts once, then yield each stratified fold.
+
+    The model's input width is re-derived from the gene selection. Per fold,
+    normalization is fitted on the training split only and applied to the
+    held-out fold, and the fold seed derives from ``config.seed``.
+    """
+    genes, norm_sources, target_p = prepare_cohorts(sources, target, interactions)
+    model = replace(config.model, input_dim=len(genes))
+    split = stratified_kfold(target_p.labels, k, seed=config.seed)
+    for fold in range(split.k):
+        train_idx = split.train_indices(fold)
+        test_idx = split.test_indices(fold)
+        train_ds = target_p.take(train_idx)
+        stats = fit_normalization(train_ds.matrix)
+        yield _Fold(
+            config=replace(config, model=model, seed=_fold_seed(config.seed, fold)),
+            sources=norm_sources,
+            train=train_ds.with_matrix(apply_normalization(train_ds.matrix, stats)),
+            test_matrix=apply_normalization(target_p.matrix[test_idx], stats),
+            test_labels=target_p.labels[test_idx],
+        )
+
+
+def _cv_result(reports: Sequence[MetricsReport]) -> CvResult:
+    return CvResult(
+        per_fold=tuple(reports),
+        mean_accuracy=sum(r.accuracy for r in reports) / len(reports),
+        mean_precision=sum(r.precision for r in reports) / len(reports),
+        mean_recall=sum(r.recall for r in reports) / len(reports),
+        mean_f1=sum(r.f1 for r in reports) / len(reports),
+        mean_pr_auc=_nan_mean([r.pr_auc for r in reports]),
+    )
+
+
 def cross_validate(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
@@ -273,31 +341,12 @@ def cross_validate(
     on the training split only and applied to the held-out fold. Fold seeds
     derive from ``config.seed``.
     """
-    genes, norm_sources, target_p = prepare_cohorts(sources, target, interactions)
-    model = replace(config.model, input_dim=len(genes))
-    split = stratified_kfold(target_p.labels, k, seed=config.seed)
-
     reports = []
-    for fold in range(split.k):
-        train_idx = split.train_indices(fold)
-        test_idx = split.test_indices(fold)
-        train_ds = target_p.take(train_idx)
-        stats = fit_normalization(train_ds.matrix)
-        train_ds = train_ds.with_matrix(apply_normalization(train_ds.matrix, stats))
-        test_matrix = apply_normalization(target_p.matrix[test_idx], stats)
-        fold_config = replace(config, model=model, seed=_fold_seed(config.seed, fold))
-        params, _ = train(trainer, fold_config, norm_sources, train_ds)
-        scores = predict(params, model, test_matrix)
-        reports.append(classification_metrics(scores, target_p.labels[test_idx]))
-
-    return CvResult(
-        per_fold=tuple(reports),
-        mean_accuracy=sum(r.accuracy for r in reports) / len(reports),
-        mean_precision=sum(r.precision for r in reports) / len(reports),
-        mean_recall=sum(r.recall for r in reports) / len(reports),
-        mean_f1=sum(r.f1 for r in reports) / len(reports),
-        mean_pr_auc=_nan_mean([r.pr_auc for r in reports]),
-    )
+    for fold in _folds(sources, target, config, k, interactions):
+        params, _ = train(trainer, fold.config, fold.sources, fold.train)
+        scores = predict(params, fold.config.model, fold.test_matrix)
+        reports.append(classification_metrics(scores, fold.test_labels))
+    return _cv_result(reports)
 
 
 def cv_to_csv(result: CvResult, path: Path | str) -> None:
@@ -340,22 +389,35 @@ def lambda_sweep(
 
     Every point reuses the same base seed, so fold splits and batch schedules
     are identical across the sweep and the weight is the only moving part.
+    The loop runs folds first: the cohorts are prepared once, and each fold's
+    split and normalization are fitted once for all weights. An MLP trains up
+    to ``_LAMBDA_BLOCK`` weights of a fold as one stacked model
+    (``train_meta_stacked``) scored by one ``predict``; the CNN and the
+    transformer train one weight at a time. Either way each point equals
+    ``cross_validate`` of the meta trainer at its weight, bit for bit.
     """
     if not lambdas:
         raise ValueError("lambda_sweep needs at least one mixing weight")
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"mixing weights must be in [0, 1], got {lam}")
+    if not sources:
+        raise ValueError("trainer 'meta' requires sources, got none")
+    block = _LAMBDA_BLOCK if config.model.architecture == "mlp" else 1
+    reports: list[list[MetricsReport]] = [[] for _ in lambdas]
+    for fold in _folds(sources, target, config, k, interactions):
+        for start in range(0, len(lambdas), block):
+            lams = lambdas[start : start + block]
+            if block == 1:
+                params, _ = train_meta(replace(fold.config, lam=lams[0]), fold.sources, fold.train)
+            else:
+                params, _ = train_meta_stacked(fold.config, lams, fold.sources, fold.train)
+            scores = predict(params, fold.config.model, fold.test_matrix)
+            for i, row in enumerate(scores.reshape(len(lams), -1)):
+                reports[start + i].append(classification_metrics(row, fold.test_labels))
     points = []
-    for lam in lambdas:
-        cv = cross_validate(
-            sources,
-            target,
-            replace(config, lam=lam),
-            trainer="meta",
-            k=k,
-            interactions=interactions,
-        )
+    for lam, per_fold in zip(lambdas, reports):
+        cv = _cv_result(per_fold)
         f1s = np.array([r.f1 for r in cv.per_fold])
         points.append(
             SweepPoint(

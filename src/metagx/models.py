@@ -309,7 +309,12 @@ def forward(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -
 
 
 def predict(params: ModelParams, config: ModelConfig, batch: Array) -> Array:
-    """Tape-free inference: probabilities for an [n, d] matrix."""
+    """Tape-free inference: probabilities for an [n, d] matrix.
+
+    Stacked MLP parameters (a leading [Λ] axis, as ``train_meta_stacked``
+    returns them) give [Λ, n], each row bitwise equal to predicting with
+    that slice alone.
+    """
     out = forward(params.constants(), config, Tensor(np.asarray(batch, dtype=np.float64)))
     return out.data
 

@@ -11,10 +11,11 @@ One meta step works on a target batch and one batch per source cohort:
 
 The outer gradient is first-order: each term (the target batch, then each
 adapted copy on its source batch) is differentiated on its own tape, with the
-sweep seeded by the term's weight in L, and ``outer_step`` sums the per-name
-gradients in that order. No second derivative through the inner step is
-formed, and only one term's activations are alive at a time, so peak memory
-does not grow with the number of sources.
+sweep seeded by the term's weight in L, and each term's per-name gradients
+are added to the running sum as they arrive, in that order. No second
+derivative through the inner step is formed, and only one term's activations
+and two gradient maps are alive at a time, so peak memory does not grow with
+the number of sources.
 
 All trainers share one loop of shuffled Adam passes: plain training is that
 loop on the target alone, meta training adds the adapted-source term to each
@@ -23,11 +24,17 @@ step, and transfer runs it twice (pooled sources, then the target).
 Randomness is split into named streams derived from the run seed, so the
 target batch schedule is identical across trainers; with lam = 1 the meta
 trainer reproduces the plain trainer's trajectory exactly.
+
+Because neither stream depends on lam, ``train_meta_stacked`` trains one MLP
+per mixing weight as one stacked model: every parameter gets a leading [Λ]
+axis, lam becomes a [Λ] vector, and each slice runs through the same
+expressions in the same order as ``train_meta``, so it is bitwise equal to
+``train_meta`` at its weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -145,9 +152,24 @@ class TrainLog:
 # optimizer steps
 
 
-def _checked_grad(name: str, grad: Array) -> Array:
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError(f"non-finite gradient for parameter {name!r}")
+def _check_finite(values, lams: Array | None, describe: Callable[[object], str]) -> None:
+    """Raise TrainingError(describe(v)) unless every value is finite.
+
+    Unstacked (``lams`` None), ``v`` is ``values``. In a stacked block,
+    ``values`` has a leading [Λ] axis, ``v`` is its first slice holding a
+    non-finite value, and the message names that slice's mixing weight.
+    """
+    if np.all(np.isfinite(values)):
+        return
+    if lams is None:
+        raise TrainingError(describe(values))
+    finite = np.isfinite(values).reshape(len(lams), -1).all(axis=1)
+    i = int(np.flatnonzero(~finite)[0])
+    raise TrainingError(f"{describe(values[i])} at lambda={float(lams[i])!r}")
+
+
+def _checked_grad(name: str, grad: Array, lams: Array | None = None) -> Array:
+    _check_finite(grad, lams, lambda _: f"non-finite gradient for parameter {name!r}")
     return grad
 
 
@@ -157,10 +179,13 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
     state: SgdState,
+    lams: Array | None = None,
 ) -> ModelParams:
     """One step of v <- momentum * v + g; theta <- theta - lr * v.
 
-    ``state`` is updated in place; a new ModelParams is returned.
+    ``state`` is updated in place; a new ModelParams is returned. The first
+    step's velocity is ``g`` itself, which the step never writes to. ``lams``
+    names the mixing weights of stacked parameters in divergence errors.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -168,18 +193,23 @@ def sgd_momentum_step(
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     new = {}
     for name, arr in params.items():
-        g = _checked_grad(name, grads[name])
+        g = _checked_grad(name, grads[name], lams)
         v = state.velocity.get(name)
-        v = g.copy() if v is None else momentum * v + g
+        v = g if v is None else momentum * v + g
         state.velocity[name] = v
         new[name] = arr - lr * v
     return ModelParams(new)
 
 
 def adam_step(
-    params: ModelParams, grads: dict[str, Array], lr: float, state: AdamState
+    params: ModelParams,
+    grads: dict[str, Array],
+    lr: float,
+    state: AdamState,
+    lams: Array | None = None,
 ) -> ModelParams:
-    """One bias-corrected Adam step; ``state`` is updated in place."""
+    """One bias-corrected Adam step; ``state`` is updated in place. ``lams``
+    names the mixing weights of stacked parameters in divergence errors."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
@@ -187,7 +217,7 @@ def adam_step(
     bc2 = 1.0 - state.beta2**state.t
     new = {}
     for name, arr in params.items():
-        g = _checked_grad(name, grads[name])
+        g = _checked_grad(name, grads[name], lams)
         m = state.m.get(name, 0.0)
         v = state.v.get(name, 0.0)
         m = state.beta1 * m + (1.0 - state.beta1) * g
@@ -211,7 +241,14 @@ def _batch_loss(
     return ad.bce_loss(forward(leaves, model_config, Tensor(x)), Tensor(y)), leaves
 
 
-def _grads(loss: Tensor, leaves: dict[str, Tensor], weight: float = 1.0) -> dict[str, Array]:
+def _value(loss: Tensor) -> float | Array:
+    """A loss as a float, or the [Λ] per-slice losses of a stacked model."""
+    return loss.item() if loss.data.ndim == 0 else loss.data
+
+
+def _grads(
+    loss: Tensor, leaves: dict[str, Tensor], weight: float | Array = 1.0
+) -> dict[str, Array]:
     """Gradients of ``weight * loss`` by parameter name; consumes the tape."""
     grads = ad.backward(loss, weight)
     return {name: grads[leaf.node].data for name, leaf in leaves.items()}
@@ -223,29 +260,34 @@ def inner_adapt(
     batch: tuple[Array, Array],
     alpha: float,
     momentum: float,
+    lams: Array | None = None,
 ) -> ModelParams:
     """Adapt a copy of ``params`` to one batch with one SGD-momentum step.
 
     The step starts from zero velocity, so it is theta - alpha * g whatever
-    the momentum; the input parameters are untouched.
+    the momentum; the input parameters are untouched. ``lams`` marks
+    ``params`` as stacked, one slice per mixing weight.
     """
     loss, leaves = _batch_loss(params, model_config, batch)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite adaptation loss {value}")
-    return sgd_momentum_step(params, _grads(loss, leaves), alpha, momentum, SgdState())
+    value = _value(loss)
+    _check_finite(value, lams, lambda v: f"non-finite adaptation loss {v}")
+    grads = _grads(loss, leaves, 1.0 if lams is None else np.ones(len(lams)))
+    return sgd_momentum_step(params, grads, alpha, momentum, SgdState(), lams)
 
 
 def outer_step(
-    params: ModelParams, terms: Sequence[dict[str, Array]], state: AdamState, lr: float
+    params: ModelParams,
+    grads: dict[str, Array],
+    state: AdamState,
+    lr: float,
+    lams: Array | None = None,
 ) -> ModelParams:
-    """Sum each parameter's term gradients and apply one Adam step.
+    """Apply one meta step's gradient with one Adam step.
 
-    ``terms`` holds one weighted gradient map per loss term, the target's
-    first; each name is summed left to right, ``terms[0] + terms[1] + ...``.
+    ``grads`` holds each parameter's weighted term gradients summed left to
+    right, the target's first: ``((g_T + g_1) + g_2) + ...``.
     """
-    grads = {name: sum((t[name] for t in terms[1:]), terms[0][name]) for name in params.names()}
-    return adam_step(params, grads, lr, state)
+    return adam_step(params, grads, lr, state, lams)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +313,6 @@ def _epoch_batches(dataset: ExpressionDataset, batch_size: int, rng: np.random.G
         yield dataset.matrix[idx], dataset.labels[idx]
 
 
-def _check_finite(value: float, what: str, step: int, epoch: int) -> None:
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite {what} {value} at step {step} (epoch {epoch})")
-
-
 OnStep = Callable[[int, ModelParams], None]
 
 
@@ -290,6 +327,7 @@ def _train_loop(
     log: TrainLog,
     on_step: OnStep | None,
     sources: Sequence[ExpressionDataset] = (),
+    lams: Array | None = None,
 ) -> ModelParams:
     """``config.epochs`` shuffled Adam passes over ``dataset``, from a fresh optimizer.
 
@@ -297,7 +335,14 @@ def _train_loop(
     sources each step minimizes the batch loss; with sources it minimizes the
     meta loss, adding the adapted-source terms. Steps are numbered on from the
     records already in ``log``.
+
+    With ``lams``, a [Λ] vector of mixing weights that replaces
+    ``config.lam``, the parameters are stacked one slice per weight, every
+    loss is a [Λ] vector, and the log records [Λ] loss vectors. The
+    arithmetic is the scalar loop's, elementwise, so each slice follows the
+    unstacked run at its weight bit for bit.
     """
+    lam = config.lam if lams is None else lams
     adam = AdamState()
     rng = np.random.default_rng([config.seed, _STAGE_STREAMS[stage]])
     source_rng = np.random.default_rng([config.seed, _STREAM_SOURCE])
@@ -306,25 +351,35 @@ def _train_loop(
         for batch in _epoch_batches(dataset, config.batch_size, rng):
             step += 1
             loss, leaves = _batch_loss(params, config.model, batch)
-            lt_v = loss.item()
-            _check_finite(lt_v, f"{stage} loss", step, epoch)
-            terms = [_grads(loss, leaves, config.lam if sources else 1.0)]
+            lt_v = _value(loss)
+            _check_finite(
+                lt_v, lams, lambda v: f"non-finite {stage} loss {v} at step {step} (epoch {epoch})"
+            )
+            grads = _grads(loss, leaves, lam if sources else 1.0)
             ls_v = lm_v = None
             if sources:
-                weight = (1.0 - config.lam) * (1.0 / len(sources))
+                weight = (1.0 - lam) * (1.0 / len(sources))
                 values = []
                 for src in sources:
                     src_batch = sample_batch(src.matrix, src.labels, config.batch_size, source_rng)
                     fast = inner_adapt(
-                        params, config.model, src_batch, config.inner_lr, config.inner_momentum
+                        params, config.model, src_batch, config.inner_lr, config.inner_momentum,
+                        lams,
                     )
                     loss, leaves = _batch_loss(fast, config.model, src_batch)
-                    values.append(loss.item())
-                    _check_finite(values[-1], "source loss", step, epoch)
-                    terms.append(_grads(loss, leaves, weight))
+                    values.append(_value(loss))
+                    _check_finite(
+                        values[-1],
+                        lams,
+                        lambda v: f"non-finite source loss {v} at step {step} (epoch {epoch})",
+                    )
+                    # summing as the terms arrive keeps two gradient maps alive,
+                    # not S + 1, in the order ((g_T + g_1) + g_2) + ...
+                    for name, g in _grads(loss, leaves, weight).items():
+                        grads[name] = grads[name] + g
                 ls_v = sum(values[1:], values[0]) * (1.0 / len(sources))
-                lm_v = lt_v * config.lam + ls_v * (1.0 - config.lam)
-            params = outer_step(params, terms, adam, config.outer_lr)
+                lm_v = lt_v * lam + ls_v * (1.0 - lam)
+            params = outer_step(params, grads, adam, config.outer_lr, lams)
             log.append(step, epoch, lt_v, ls_v, lm_v, stage)
             if on_step is not None:
                 on_step(step, params)
@@ -351,6 +406,45 @@ def train_meta(
     params = init_model(config.model, config.seed)
     params = _train_loop(config, params, target_train, "train", log, on_step, sources)
     return params, log
+
+
+def train_meta_stacked(
+    config: MetaConfig,
+    lams: Sequence[float],
+    sources: Sequence[ExpressionDataset],
+    target_train: ExpressionDataset,
+) -> tuple[ModelParams, list[TrainLog]]:
+    """``train_meta`` at every mixing weight in ``lams``, as one stacked MLP.
+
+    Each parameter gets a leading [Λ] axis, one slice per weight, all tiled
+    from the one seeded init; ``config.lam`` is not used. Slice i of the
+    returned parameters, and log i, are bitwise equal to ``train_meta`` with
+    ``lam = lams[i]``. ``predict`` on the result gives [Λ, n] scores. Only
+    the MLP stacks: ``conv1d`` and the transformer's token projection have no
+    bitwise-equal stacked form.
+    """
+    if config.model.architecture != "mlp":
+        raise ValueError(f"only an MLP trains stacked, got {config.model.architecture!r}")
+    if not lams:
+        raise ValueError("train_meta_stacked needs at least one mixing weight")
+    for lam in lams:
+        replace(config, lam=lam)  # validates the weight
+    if not sources:
+        raise ValueError("train_meta_stacked requires at least one source dataset")
+    _check_inputs(config, [*sources, target_train])
+    log = TrainLog()
+    init = init_model(config.model, config.seed)
+    params = ModelParams({n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()})
+    vec = np.array(lams, dtype=np.float64)
+    params = _train_loop(config, params, target_train, "train", log, None, sources, vec)
+    logs = [TrainLog() for _ in lams]
+    for r in log.records:
+        for i, one in enumerate(logs):
+            one.append(
+                r.step, r.epoch, float(r.loss_target[i]), float(r.loss_source[i]),
+                float(r.loss_meta[i]), r.stage,
+            )
+    return params, logs
 
 
 def train_plain(

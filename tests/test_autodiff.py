@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metagx import autodiff as ad
@@ -320,6 +320,43 @@ def test_linear_and_sigmoid_head_shape_errors():
             ad.sigmoid_head(x, weight)
     with pytest.raises(DimensionError, match=r"\[n, k\] and \[1, k\] inputs"):
         ad.sigmoid_head(np.ones((2, 2, 3)), np.ones((1, 3)))
+    # a bias is shaped like the weight without its input axis: [out], or [Λ, out]
+    for w, b in ((np.ones((4, 3)), np.ones(1)), (np.ones((2, 4, 3)), np.ones(4))):
+        with pytest.raises(DimensionError, match="linear bias must be shaped"):
+            ad.linear(x, w, b)
+
+
+@pytest.mark.parametrize("d", [50, 695])
+@pytest.mark.parametrize("batch", [32, 7])
+def test_stacked_ops_equal_per_slice_calls_bitwise(batch, d):
+    """An MLP's ops with a leading [Λ] parameter axis: every value and every
+    gradient of slice i is the 2-D call on slice i, bit for bit."""
+    lam = 3
+    rng = np.random.default_rng(batch + d)
+    x = rng.standard_normal((batch, d))
+    y = (rng.random(batch) < 0.5).astype(np.float64)
+    shapes = {"w0": (128, d), "b0": (128,), "w1": (64, 128), "b1": (64,), "w2": (1, 64)}
+    params = {n: rng.standard_normal((lam,) + s) / np.sqrt(s[-1]) for n, s in shapes.items()}
+    weights = np.array([0.1, 0.45, 1.0])
+
+    def run(p, weight):
+        tape = ad.Tape()
+        leaves = {n: tape.watch(a) for n, a in p.items()}
+        h = ad.leaky_relu(ad.linear(x, leaves["w0"], leaves["b0"]))
+        h = ad.leaky_relu(ad.linear(h, leaves["w1"], leaves["b1"]))
+        probs = ad.sigmoid_head(h, leaves["w2"])
+        loss = ad.bce_loss(probs, y)
+        grads = ad.backward(loss, weight)
+        return probs.data, loss.data, {n: grads[leaf.node].data for n, leaf in leaves.items()}
+
+    probs, loss, grads = run(params, weights)
+    assert probs.shape == (lam, batch) and loss.shape == (lam,)
+    for i in range(lam):
+        want_probs, want_loss, want_grads = run({n: a[i] for n, a in params.items()}, weights[i])
+        assert probs[i].tobytes() == want_probs.tobytes()
+        assert loss[i].tobytes() == want_loss.tobytes()
+        for name, want in want_grads.items():
+            assert grads[name][i].tobytes() == want.tobytes(), (i, name)
 
 
 def conv1d_loop_oracle(x, w, stride, padding, g):
@@ -507,6 +544,76 @@ def test_linear_and_sigmoid_head_vjps_match_finite_differences(batch, n, k, out,
     check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.sigmoid_head(h, t), gh)), v, step=1e-4)
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    batch=st.integers(1, 2),
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    length=st.integers(1, 9),
+    width=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv1d_vjp_matches_finite_differences(
+    batch, c_in, c_out, length, width, stride, padding, seed
+):
+    assume(length + 2 * padding >= width)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c_in, length))
+    w = rng.standard_normal((c_out, c_in, width))
+    out_len = (length + 2 * padding - width) // stride + 1
+    g = rng.standard_normal((batch, c_out, out_len))
+    # conv1d is linear in each input, so a wide step differences it exactly
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv1d(t, w, stride, padding), g)), x, 1e-3)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv1d(x, t, stride, padding), g)), w, 1e-3)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 9)),
+    size=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_pool1d_vjp_matches_finite_differences(shape, size, stride, seed):
+    assume(shape[2] >= size)
+    rng = np.random.default_rng(seed)
+    # distinct values a unit apart: a finite-difference step never flips a maximum
+    x = rng.permutation(np.arange(math.prod(shape), dtype=np.float64)).reshape(shape)
+    n_out = (shape[2] - size) // stride + 1
+    g = rng.standard_normal(shape[:2] + (n_out,))
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.max_pool1d(t, size, stride), g)), x)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    axis=st.integers(-3, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_softmax_vjp_matches_finite_differences(shape, axis, seed):
+    assume(-len(shape) <= axis < len(shape))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    g = rng.standard_normal(shape)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, axis=axis), g)), x)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    slope=st.floats(0.01, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leaky_relu_vjp_matches_finite_differences(shape, slope, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes of at least 0.1 keep every finite-difference step off the kink
+    x = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.1, 2.0, size=shape)
+    g = rng.standard_normal(shape)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.leaky_relu(t, slope), g)), x)
+
+
 # ---------------------------------------------------------------------------
 # tape mechanics
 
@@ -535,6 +642,8 @@ def test_backward_requires_scalar_and_tape():
     a = tape.watch(np.ones(3))
     with pytest.raises(DimensionError):
         ad.backward(ad.mul(a, 2.0))
+    with pytest.raises(DimensionError):
+        ad.backward(ad.mul(a, 2.0), np.ones(2))  # a [Λ] loss needs a [Λ] weight
     with pytest.raises(ValueError):
         ad.backward(ad.Tensor(1.0))
 
@@ -564,13 +673,15 @@ def test_constants_do_not_record():
 
 
 def _conv_pool_probe(tape):
-    """Record conv1d then max_pool1d; returns the pooled tensor and a weak
-    reference to the conv output, which only the pool's VJP keeps alive."""
+    """Record conv1d, max_pool1d and a dense layer; returns the layer's output
+    and a weak reference to the pooled features, which only the dense
+    layer's VJP keeps alive (it needs them for its weight gradient)."""
     rng = np.random.default_rng(41)
     x = tape.watch(rng.standard_normal((2, 3, 10)))
     w = tape.watch(rng.standard_normal((4, 3, 3)))
-    h = ad.conv1d(x, w, stride=1, padding=1)
-    return ad.max_pool1d(h, 2, 2), weakref.ref(h.data)
+    v = tape.watch(rng.standard_normal((2, 5)))
+    pooled = ad.max_pool1d(ad.conv1d(x, w, stride=1, padding=1), 2, 2)
+    return ad.linear(pooled, v), weakref.ref(pooled.data)
 
 
 def test_backward_releases_recorded_activations():
@@ -582,6 +693,19 @@ def test_backward_releases_recorded_activations():
     ad.backward(loss)
     # the loss still references the tape, but the tape holds no activations
     assert probe() is None
+
+
+def test_max_pool1d_keeps_only_the_shape_of_its_input():
+    tape = ad.Tape()
+    x = tape.watch(np.random.default_rng(42).standard_normal((2, 3, 10)))
+    h = ad.leaky_relu(x)
+    probe = weakref.ref(h.data)
+    pooled = ad.max_pool1d(h, 2, 2)
+    del h
+    # the pool's VJP needs the input's shape and size, not its values
+    assert probe() is None
+    grad = ad.backward(ad.mean(pooled))[x.node].data
+    assert grad.shape == (2, 3, 10) and np.count_nonzero(grad) == 2 * 3 * 5
 
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():

@@ -421,6 +421,18 @@ def test_diverging_training_exits_three_with_one_error_line(tmp_path, family_dir
     assert capsys.readouterr().err == "error: non-finite source loss nan at step 1 (epoch 1)\n"
 
 
+def test_diverging_sweep_exits_three_naming_the_first_diverging_lambda(
+    tmp_path, family_dir, capsys
+):
+    # every weight diverges at step 1; the stacked block reports its first slice
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", alpha=1e300, epochs=1)
+    out = str(tmp_path / "o")
+    assert main(["sweep", "--config", str(cfg_file), "--out", out, "--lambdas", "0.3, 0.6"]) == 3
+    assert capsys.readouterr().err == (
+        "error: non-finite source loss nan at step 1 (epoch 1) at lambda=0.3\n"
+    )
+
+
 def test_out_of_memory_exits_two_without_a_traceback(tmp_path, monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 7.21 GiB for an array")

@@ -1,6 +1,8 @@
 """Metrics against hand counts and a brute-force ranking oracle; CV plumbing."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +255,54 @@ def test_lambda_sweep_endpoint_matches_plain():
     assert points[1].f1_mean == plain.mean_f1
     f1s = np.array([r.f1 for r in points[0].cv.per_fold])
     assert points[0].f1_std == pytest.approx(float(f1s.std()), abs=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn", "transformer"])
+def test_lambda_sweep_equals_per_lambda_cross_validation(arch):
+    # four weights: one stacked MLP block of three, then a block of one
+    sources = [make_ds(f"s{i}", 30, 12, seed=50 + i) for i in range(3)]
+    target = make_ds("t", 27, 12, seed=60)
+    model = ModelConfig(arch, input_dim=12, hidden_dims=(6, 5), channels=2, embed_dim=4, tokens=3)
+    cfg = MetaConfig(model=model, epochs=2, batch_size=8, seed=2)
+    lambdas = (0.0, 0.4, 0.7, 1.0)
+    points = evaluate.lambda_sweep(sources, target, cfg, lambdas=lambdas, k=3)
+    assert [p.lam for p in points] == list(lambdas)
+    for p in points:
+        want = evaluate.cross_validate(sources, target, replace(cfg, lam=p.lam), k=3)
+        assert [repr(r) for r in p.cv.per_fold] == [repr(r) for r in want.per_fold], p.lam
+
+
+def test_lambda_sweep_prepares_cohorts_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return prepare(*args, **kwargs)
+
+    prepare = evaluate.prepare_cohorts
+    monkeypatch.setattr(evaluate, "prepare_cohorts", counted)
+    sources = [make_ds("s", 24, 5, seed=31)]
+    target = make_ds("t", 20, 5, seed=41)
+    evaluate.lambda_sweep(sources, target, small_config(), lambdas=(0.2, 0.5, 0.8, 1.0), k=2)
+    assert len(calls) == 1
+
+
+def test_lambda_sweep_peak_memory_does_not_grow_with_the_grid():
+    sources = [make_ds(f"s{i}", 64, 50, seed=70 + i) for i in range(3)]
+    target = make_ds("t", 40, 50, seed=80)
+    cfg = MetaConfig(model=ModelConfig("mlp", input_dim=50), epochs=1, batch_size=32, seed=1)
+
+    def peak_bytes(lambdas):
+        tracemalloc.start()
+        try:
+            evaluate.lambda_sweep(sources, target, cfg, lambdas=lambdas, k=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    three = peak_bytes((0.1, 0.5, 0.9))
+    twelve = peak_bytes(tuple(i / 11 for i in range(12)))
+    assert twelve <= 1.25 * three, (three, twelve)
 
 
 def test_lambda_sweep_validation_and_best():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,49 @@ def test_train_meta_deterministic_and_seed_sensitive():
     cfg2 = tiny_meta_config(lam=0.5, epochs=2, batch_size=6, seed=12)
     p3, _ = training.train_meta(cfg2, sources, target)
     assert any(not np.array_equal(p1[n], p3[n]) for n in p1.names())
+
+
+def test_train_meta_stacked_slices_equal_train_meta():
+    cfg = tiny_meta_config(epochs=2, batch_size=7, seed=9)
+    sources = [make_ds(f"s{i}", 25, 6, seed=100 + i) for i in range(3)]
+    target = make_ds("t", 20, 6, seed=110)
+    lams = (0.0, 0.3, 1.0)
+    stacked, logs = training.train_meta_stacked(cfg, lams, sources, target)
+    assert stacked["hidden.0.bias"].shape == (3, 5)
+    for i, lam in enumerate(lams):
+        params, log = training.train_meta(replace(cfg, lam=lam), sources, target)
+        for name in params.names():
+            assert stacked[name][i].tobytes() == params[name].tobytes(), (lam, name)
+        assert [repr(r) for r in logs[i].records] == [repr(r) for r in log.records]
+
+
+def test_train_meta_stacked_validates_inputs():
+    sources = [make_ds("s", 10, 6, seed=1)]
+    target = make_ds("t", 10, 6, seed=0)
+    with pytest.raises(ValueError, match="only an MLP"):
+        cnn = ModelConfig("cnn", input_dim=6, channels=2)
+        training.train_meta_stacked(tiny_meta_config(model=cnn), (0.5,), sources, target)
+    with pytest.raises(ValueError, match="lam must be in"):
+        training.train_meta_stacked(tiny_meta_config(), (0.5, 1.5), sources, target)
+    with pytest.raises(ValueError, match="source"):
+        training.train_meta_stacked(tiny_meta_config(), (0.5,), [], target)
+
+
+def test_stacked_divergence_names_the_first_diverging_slice():
+    cfg = ModelConfig("mlp", input_dim=6, hidden_dims=(5, 4))
+    lams = np.array([0.2, 0.7, 0.9])
+    init = init_model(cfg, seed=0)
+    arrays = {n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()}
+    arrays["output.weight"][1:] = np.nan
+    ds = make_ds("t", 8, 6, seed=1)
+    with pytest.raises(TrainingError) as err:
+        training.inner_adapt(ModelParams(arrays), cfg, (ds.matrix, ds.labels), 0.01, 0.0, lams)
+    assert str(err.value) == "non-finite adaptation loss nan at lambda=0.7"
+    grads = {"w": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf]])}
+    params = ModelParams({"w": np.zeros((3, 2))})
+    with pytest.raises(TrainingError) as err:
+        training.adam_step(params, grads, 0.01, training.AdamState(), lams)
+    assert str(err.value) == "non-finite gradient for parameter 'w' at lambda=0.9"
 
 
 def test_train_meta_validates_inputs():
