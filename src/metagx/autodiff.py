@@ -460,7 +460,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         )
     xp = np.pad(x3, ((0, 0), (0, 0), (padding, padding))) if padding else x3
     windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=2)[:, :, ::stride]
-    nb, out_len = xp.shape[0], windows.shape[2]
+    nb, out_len, xp_shape = xp.shape[0], windows.shape[2], xp.shape
     cols = windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len)
     w2 = w.data.reshape(c_out, c_in * width)
     tx, tw = x.node is not None, w.node is not None
@@ -471,7 +471,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
             gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
         if tx:
             gcols = (w2.T @ g).reshape(nb, c_in, width, out_len)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(xp_shape)
             for k in range(width):
                 gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
             gx = gxp[:, :, padding : padding + length] if padding else gxp

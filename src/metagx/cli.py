@@ -28,7 +28,6 @@ from .data import (
     ExpressionDataset,
     GeneInteractionSet,
     apply_normalization,
-    filter_by_interactions,
     fit_normalization,
     load_expression_tsv,
     load_interactions_tsv,
@@ -44,6 +43,7 @@ from .evaluate import (
     cv_to_csv,
     lambda_sweep,
     prepare_cohorts,
+    shared_genes,
     sweep_to_csv,
     train,
 )
@@ -99,6 +99,10 @@ class RunConfig:
 
     def meta_config(self, input_dim: int) -> MetaConfig:
         model = self.model_config(input_dim)
+        # momentum never acts (each inner step starts from zero velocity), but
+        # the key is still read, checked and written to config.ini
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         values = {field: getattr(self, name) for field, name in _META_FIELDS.items()}
         with _user_names({field: _ini_key(name) for field, name in _META_FIELDS.items()}):
             return MetaConfig(model=model, **values)
@@ -106,7 +110,7 @@ class RunConfig:
 
 # MetaConfig field -> the RunConfig field that sets it
 _META_FIELDS = {
-    "inner_lr": "alpha", "inner_momentum": "momentum", "outer_lr": "beta", "lam": "lam",
+    "inner_lr": "alpha", "outer_lr": "beta", "lam": "lam",
     "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
 }
 
@@ -301,7 +305,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     sources, target, inter = _load_inputs(cfg)
     before = select_common_genes([*sources, target])
-    genes = filter_by_interactions(before, inter) if inter is not None else before
+    genes = shared_genes(sources, target, inter)
     out = _out_dir(cfg)
     processed = out / "processed"
     processed.mkdir(exist_ok=True)
@@ -360,7 +364,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _warn_lambda_ignored(cfg)
     sources, target, inter = _load_inputs(cfg)
-    genes = prepare_cohorts(sources, target, inter)[0]
+    genes = shared_genes(sources, target, inter)
     result = cross_validate(
         sources,
         target,
@@ -392,7 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sources, target, inter = _load_inputs(cfg)
     if not sources:
         raise ConfigError("sweep requires [data] sources")
-    genes = prepare_cohorts(sources, target, inter)[0]
+    genes = shared_genes(sources, target, inter)
     points = lambda_sweep(
         sources,
         target,

@@ -251,21 +251,28 @@ def _nan_mean(values: Sequence[float]) -> float:
     return sum(kept) / len(kept) if kept else math.nan
 
 
+def shared_genes(
+    sources: Sequence[ExpressionDataset],
+    target: ExpressionDataset,
+    interactions: GeneInteractionSet | None = None,
+) -> tuple[str, ...]:
+    """Genes shared by every dataset and, when given, in some interaction pair."""
+    genes = select_common_genes([*sources, target])
+    return genes if interactions is None else filter_by_interactions(genes, interactions)
+
+
 def prepare_cohorts(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
     interactions: GeneInteractionSet | None = None,
 ) -> tuple[tuple[str, ...], list[ExpressionDataset], ExpressionDataset]:
-    """Put every cohort on one gene list: ``(genes, sources, target)``.
+    """Put every cohort on ``shared_genes``: ``(genes, sources, target)``.
 
-    Genes are those shared by every dataset (and, when given, interaction
-    members). Each source is normalized with its own full-cohort statistics;
-    the target is only projected, since which of its rows fit the statistics
-    is the caller's choice.
+    Each source is normalized with its own full-cohort statistics; the
+    target is only projected, since which of its rows fit the statistics is
+    the caller's choice.
     """
-    genes = select_common_genes([*sources, target])
-    if interactions is not None:
-        genes = filter_by_interactions(genes, interactions)
+    genes = shared_genes(sources, target, interactions)
     sources_p = [project(src, genes) for src in sources]
     norm_sources = [
         src.with_matrix(apply_normalization(src.matrix, fit_normalization(src.matrix)))
@@ -411,7 +418,7 @@ def lambda_sweep(
             if block == 1:
                 params, _ = train_meta(replace(fold.config, lam=lams[0]), fold.sources, fold.train)
             else:
-                params, _ = train_meta_stacked(fold.config, lams, fold.sources, fold.train)
+                params = train_meta_stacked(fold.config, lams, fold.sources, fold.train)
             scores = predict(params, fold.config.model, fold.test_matrix)
             for i, row in enumerate(scores.reshape(len(lams), -1)):
                 reports[start + i].append(classification_metrics(row, fold.test_labels))

@@ -3,7 +3,7 @@
 One meta step works on a target batch and one batch per source cohort:
 
 1. adapt a throwaway copy of the parameters to each source batch with one
-   SGD-with-momentum step (the inner loop),
+   SGD step, theta - alpha * g (the inner loop),
 2. evaluate each adapted copy on its source batch -> mean source loss L_S,
 3. evaluate the unadapted parameters on the target batch -> target loss L_T,
 4. combine L = lam * L_T + (1 - lam) * L_S and take one Adam step (the outer
@@ -65,7 +65,6 @@ class MetaConfig:
 
     model: ModelConfig
     inner_lr: float = 4e-4
-    inner_momentum: float = 0.2
     outer_lr: float = 4e-4
     lam: float = 0.5
     epochs: int = 40
@@ -77,8 +76,6 @@ class MetaConfig:
             rate = getattr(self, name)
             if not (np.isfinite(rate) and rate > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {rate}")
-        if not 0.0 <= self.inner_momentum < 1.0:
-            raise ValueError(f"inner_momentum must be in [0, 1), got {self.inner_momentum}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         if self.epochs < 1:
@@ -88,22 +85,18 @@ class MetaConfig:
 
 
 @dataclass
-class SgdState:
-    """Per-parameter velocity for SGD with momentum."""
-
-    velocity: dict[str, Array] = field(default_factory=dict)
-
-
-@dataclass
 class AdamState:
     """First/second moment accumulators and the shared step counter."""
 
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+
+
+# Adam's moment decay rates and denominator floor
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -173,34 +166,6 @@ def _checked_grad(name: str, grad: Array, lams: Array | None = None) -> Array:
     return grad
 
 
-def sgd_momentum_step(
-    params: ModelParams,
-    grads: dict[str, Array],
-    lr: float,
-    momentum: float,
-    state: SgdState,
-    lams: Array | None = None,
-) -> ModelParams:
-    """One step of v <- momentum * v + g; theta <- theta - lr * v.
-
-    ``state`` is updated in place; a new ModelParams is returned. The first
-    step's velocity is ``g`` itself, which the step never writes to. ``lams``
-    names the mixing weights of stacked parameters in divergence errors.
-    """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    new = {}
-    for name, arr in params.items():
-        g = _checked_grad(name, grads[name], lams)
-        v = state.velocity.get(name)
-        v = g if v is None else momentum * v + g
-        state.velocity[name] = v
-        new[name] = arr - lr * v
-    return ModelParams(new)
-
-
 def adam_step(
     params: ModelParams,
     grads: dict[str, Array],
@@ -213,18 +178,18 @@ def adam_step(
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - _BETA1**state.t
+    bc2 = 1.0 - _BETA2**state.t
     new = {}
     for name, arr in params.items():
         g = _checked_grad(name, grads[name], lams)
         m = state.m.get(name, 0.0)
         v = state.v.get(name, 0.0)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        new[name] = arr - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        new[name] = arr - lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
     return ModelParams(new)
 
 
@@ -259,20 +224,20 @@ def inner_adapt(
     model_config: ModelConfig,
     batch: tuple[Array, Array],
     alpha: float,
-    momentum: float,
+    *,
     lams: Array | None = None,
 ) -> ModelParams:
-    """Adapt a copy of ``params`` to one batch with one SGD-momentum step.
-
-    The step starts from zero velocity, so it is theta - alpha * g whatever
-    the momentum; the input parameters are untouched. ``lams`` marks
+    """Adapt a copy of ``params`` to one batch with one SGD step,
+    theta - alpha * g; the input parameters are untouched. ``lams`` marks
     ``params`` as stacked, one slice per mixing weight.
     """
     loss, leaves = _batch_loss(params, model_config, batch)
     value = _value(loss)
     _check_finite(value, lams, lambda v: f"non-finite adaptation loss {v}")
     grads = _grads(loss, leaves, 1.0 if lams is None else np.ones(len(lams)))
-    return sgd_momentum_step(params, grads, alpha, momentum, SgdState(), lams)
+    return ModelParams(
+        {n: a - alpha * _checked_grad(n, grads[n], lams) for n, a in params.items()}
+    )
 
 
 def outer_step(
@@ -362,10 +327,7 @@ def _train_loop(
                 values = []
                 for src in sources:
                     src_batch = sample_batch(src.matrix, src.labels, config.batch_size, source_rng)
-                    fast = inner_adapt(
-                        params, config.model, src_batch, config.inner_lr, config.inner_momentum,
-                        lams,
-                    )
+                    fast = inner_adapt(params, config.model, src_batch, config.inner_lr, lams=lams)
                     loss, leaves = _batch_loss(fast, config.model, src_batch)
                     values.append(_value(loss))
                     _check_finite(
@@ -413,12 +375,12 @@ def train_meta_stacked(
     lams: Sequence[float],
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
-) -> tuple[ModelParams, list[TrainLog]]:
+) -> ModelParams:
     """``train_meta`` at every mixing weight in ``lams``, as one stacked MLP.
 
     Each parameter gets a leading [Λ] axis, one slice per weight, all tiled
     from the one seeded init; ``config.lam`` is not used. Slice i of the
-    returned parameters, and log i, are bitwise equal to ``train_meta`` with
+    returned parameters is bitwise equal to ``train_meta``'s with
     ``lam = lams[i]``. ``predict`` on the result gives [Λ, n] scores. Only
     the MLP stacks: ``conv1d`` and the transformer's token projection have no
     bitwise-equal stacked form.
@@ -432,19 +394,10 @@ def train_meta_stacked(
     if not sources:
         raise ValueError("train_meta_stacked requires at least one source dataset")
     _check_inputs(config, [*sources, target_train])
-    log = TrainLog()
     init = init_model(config.model, config.seed)
     params = ModelParams({n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()})
     vec = np.array(lams, dtype=np.float64)
-    params = _train_loop(config, params, target_train, "train", log, None, sources, vec)
-    logs = [TrainLog() for _ in lams]
-    for r in log.records:
-        for i, one in enumerate(logs):
-            one.append(
-                r.step, r.epoch, float(r.loss_target[i]), float(r.loss_source[i]),
-                float(r.loss_meta[i]), r.stage,
-            )
-    return params, logs
+    return _train_loop(config, params, target_train, "train", TrainLog(), None, sources, vec)
 
 
 def train_plain(

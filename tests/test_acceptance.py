@@ -39,13 +39,7 @@ from metagx.models import (
     save_checkpoint,
 )
 from metagx.synth import SynthSpec, generate_task_family
-from metagx.training import (
-    MetaConfig,
-    SgdState,
-    sgd_momentum_step,
-    train_meta,
-    train_plain,
-)
+from metagx.training import MetaConfig, train_meta, train_plain
 
 # Synthetic-family operating point for the benefit checks: three related
 # source cohorts and a small target cohort. Sources are kept modest (120
@@ -170,32 +164,39 @@ def test_lambda_one_equals_plain_training():
 
 
 # ---------------------------------------------------------------------------
-# inner-step arithmetic: SGD with momentum against a hand-iterated recurrence
+# inner step: one SGD step from zero velocity, so momentum never acts
 
 
-def test_inner_step_matches_hand_recurrence():
-    """10 steps at lr 4e-4, momentum 0.2; tolerance 1e-15 per step."""
-    lr, momentum = 4e-4, 0.2
-    params = ModelParams({"w": np.array([0.7, -1.3]), "b": np.array([0.25])})
-    state = SgdState()
-    theta = {"w": [0.7, -1.3], "b": [0.25]}
-    vel = {"w": [0.0, 0.0], "b": [0.0]}
-    worst = 0.0
-    for step in range(1, 11):
-        grads = {
-            "w": np.array([math.sin(step), math.cos(step)]),
-            "b": np.array([math.sin(2 * step)]),
-        }
-        params = sgd_momentum_step(params, grads, lr, momentum, state)
-        for name in theta:
-            for j in range(len(theta[name])):
-                vel[name][j] = momentum * vel[name][j] + float(grads[name][j])
-                theta[name][j] = theta[name][j] - lr * vel[name][j]
-            worst = max(worst, float(np.max(np.abs(params[name] - np.array(theta[name])))))
+def test_inner_step_ignores_momentum(tmp_path):
+    """`metagx train` at momentum 0.0 and 0.9 writes byte-identical artifacts."""
+    family = tmp_path / "family"
+    synth_args = ["synth", "--out", str(family), "--seed", "4", "--sources", "2",
+                  "--source-samples", "40", "--target-samples", "30", "--features", "12"]
+    assert main(synth_args) == 0
+    differing = []
+    for arch in ARCHITECTURES:
+        artifacts = []
+        for momentum in (0.0, 0.9):
+            config_file = tmp_path / f"{arch}-{momentum}.ini"
+            config_file.write_text(
+                "[data]\n"
+                f"sources = {family / 'synth_source_0.tsv'}, {family / 'synth_source_1.tsv'}\n"
+                f"target = {family / 'synth_target.tsv'}\n"
+                f"[model]\narchitecture = {arch}\nhidden_dims = 8, 4\nchannels = 4\ntokens = 4\n"
+                f"[training]\nmomentum = {momentum}\nalpha = 0.01\nepochs = 2\nbatch_size = 16\n"
+                "[run]\ntrainer = meta\nseed = 5\n",
+                encoding="utf-8",
+            )
+            out = tmp_path / f"{arch}-{momentum}"
+            assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
+            artifacts.append([(out / n).read_bytes() for n in ("checkpoint.json", "trainlog.csv")])
+        if artifacts[0] != artifacts[1]:
+            differing.append(arch)
     _report(
-        "inner-step arithmetic",
-        worst <= 1e-15,
-        f"10-step momentum trace, max |theta - hand| {worst:.3e} (tol 1e-15)",
+        "inner step ignores momentum",
+        not differing,
+        f"checkpoint.json and trainlog.csv at momentum 0.0 vs 0.9, "
+        f"{len(ARCHITECTURES)} archs, differing: {differing or 'none'}",
     )
 
 

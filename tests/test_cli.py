@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metagx import cli
+from metagx import cli, evaluate
 from metagx.cli import (
     DEFAULT_LAMBDAS,
     SECTION_FIELDS,
@@ -762,6 +762,24 @@ def test_sweep_singleton_one_matches_plain_evaluation(tmp_path, config_path):
     sweep_f1 = (out_sweep / "sweep.csv").read_text(encoding="utf-8").splitlines()[1].split(",")[1]
     plain_f1 = (out_eval / "summary.csv").read_text(encoding="utf-8").splitlines()[1].split(",")[2]
     assert sweep_f1 == plain_f1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_command_normalizes_each_source_once(tmp_path, family_dir, monkeypatch, command):
+    # S fits for the sources plus one per fold's training split; counting the
+    # shared genes must not normalize the sources a second time
+    fits = []
+    fit = evaluate.fit_normalization
+
+    def counted(matrix):
+        fits.append(matrix.shape)
+        return fit(matrix)
+
+    for module in (cli, evaluate):
+        monkeypatch.setattr(module, "fit_normalization", counted)
+    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", k=3, epochs=1)
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert len(fits) == 2 + 3  # S = 2 sources, k = 3 folds
 
 
 # ---------------------------------------------------------------------------

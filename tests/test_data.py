@@ -228,6 +228,52 @@ def test_interactions_rejects_wrong_field_count(tmp_path):
         data.load_interactions_tsv(path)
 
 
+# gene symbols never start with '#' and hold no whitespace
+SYMBOLS = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._", min_size=1, max_size=6)
+# lines the loader skips, among them a comment that holds a tab
+SKIPPED = st.sampled_from(["", "   ", "# pairs", "  # indented\tcomment"])
+
+
+@st.composite
+def interaction_lines(draw, bad_fields=None):
+    """Pair lines with skipped lines inserted anywhere: ``(pairs, lines)``.
+    With ``bad_fields``, one line of that many symbols is put at a random
+    place and its index is returned as well."""
+    pairs = draw(st.lists(st.tuples(SYMBOLS, SYMBOLS), max_size=12))
+    lines = [f"{a}\t{b}" for a, b in pairs]
+    for extra in draw(st.lists(SKIPPED, max_size=5)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if bad_fields is None:
+        return pairs, lines
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, "\t".join(draw(st.lists(SYMBOLS, min_size=bad_fields, max_size=bad_fields))))
+    return pairs, lines, at
+
+
+def write_lines(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "pairs.tsv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+@settings(deadline=None)
+@given(drawn=interaction_lines())
+def test_interactions_load_back_as_sorted_pairs(tmp_path_factory, drawn):
+    pairs, lines = drawn
+    inter = data.load_interactions_tsv(write_lines(tmp_path_factory, lines))
+    assert inter.pairs == {tuple(sorted(p)) for p in pairs}
+    assert inter.genes == {g for p in pairs for g in p}
+
+
+@settings(deadline=None)
+@given(n_fields=st.sampled_from([1, 3, 4]), data_=st.data())
+def test_interactions_bad_field_count_names_its_line(tmp_path_factory, n_fields, data_):
+    _, lines, at = data_.draw(interaction_lines(bad_fields=n_fields))
+    path = write_lines(tmp_path_factory, lines)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{at + 1}: expected two")):
+        data.load_interactions_tsv(path)
+
+
 # ---------------------------------------------------------------------------
 # selection
 

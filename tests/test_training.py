@@ -33,52 +33,6 @@ def tiny_meta_config(**kw) -> training.MetaConfig:
 
 
 # ---------------------------------------------------------------------------
-# SGD with momentum
-
-
-def test_sgd_momentum_matches_hand_recurrence():
-    # pure-Python oracle over ten steps with varied gradients
-    grads = [0.5, -1.0, 0.25, 2.0, -0.125, 0.75, -0.5, 1.5, -2.0, 0.0625]
-    lr, momentum = 0.0004, 0.2
-    theta, v = 1.0, 0.0
-    params = ModelParams({"w": np.array([1.0])})
-    state = training.SgdState()
-    for g in grads:
-        v = momentum * v + g
-        theta = theta - lr * v
-        params = training.sgd_momentum_step(params, {"w": np.array([g])}, lr, momentum, state)
-        assert abs(float(params["w"][0]) - theta) < 1e-15
-
-
-def test_sgd_momentum_unit_gradient_velocity():
-    params = ModelParams({"w": np.array([0.0])})
-    state = training.SgdState()
-    params = training.sgd_momentum_step(params, {"w": np.array([1.0])}, 0.0004, 0.2, state)
-    params = training.sgd_momentum_step(params, {"w": np.array([1.0])}, 0.0004, 0.2, state)
-    assert float(state.velocity["w"][0]) == pytest.approx(1.2, abs=1e-15)
-    assert float(params["w"][0]) == pytest.approx(-0.0004 * (1.0 + 1.2), abs=1e-15)
-
-
-def test_sgd_single_step_example():
-    params = ModelParams({"w": np.array([1.0])})
-    out = training.sgd_momentum_step(
-        params, {"w": np.array([0.5])}, 0.0004, 0.0, training.SgdState()
-    )
-    assert float(out["w"][0]) == pytest.approx(0.9998, abs=1e-15)
-    assert float(params["w"][0]) == 1.0  # input untouched
-
-
-def test_sgd_validates_and_checks_gradients():
-    params = ModelParams({"w": np.array([1.0])})
-    with pytest.raises(ValueError):
-        training.sgd_momentum_step(params, {"w": np.array([1.0])}, -0.1, 0.2, training.SgdState())
-    with pytest.raises(ValueError):
-        training.sgd_momentum_step(params, {"w": np.array([1.0])}, 0.1, 1.0, training.SgdState())
-    with pytest.raises(TrainingError):
-        training.sgd_momentum_step(params, {"w": np.array([np.nan])}, 0.1, 0.2, training.SgdState())
-
-
-# ---------------------------------------------------------------------------
 # Adam
 
 
@@ -121,7 +75,7 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
     x = rng.standard_normal((6, 4))
     y = (rng.random(6) < 0.5).astype(float)
     alpha = 0.01
-    adapted = training.inner_adapt(params, cfg, (x, y), alpha, 0.0)
+    adapted = training.inner_adapt(params, cfg, (x, y), alpha)
     for name in params.names():
         def loss_at(arr, _name=name):
             trial = ModelParams({n: (arr if n == _name else params[n]) for n in params.names()})
@@ -130,6 +84,40 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
         fd = numeric_grad(loss_at, params[name].copy())
         got = (params[name] - adapted[name]) / alpha
         assert max_rel_err(got, fd) < 1e-4, name
+
+
+def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch):
+    cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
+    init = init_model(cfg, seed=1)
+    ds = make_ds("t", 6, 4, seed=2)
+    grads = training._grads
+
+    def poisoned(loss, leaves, weight=1.0):
+        # the last entry of the output weight's gradient, so the last slice when stacked
+        out = grads(loss, leaves, weight)
+        g = out["output.weight"].copy()
+        g.flat[-1] = np.nan
+        out["output.weight"] = g
+        return out
+
+    monkeypatch.setattr(training, "_grads", poisoned)
+    with pytest.raises(TrainingError) as err:
+        training.inner_adapt(init, cfg, (ds.matrix, ds.labels), 0.01)
+    assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
+    stacked = ModelParams({n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()})
+    with pytest.raises(TrainingError) as err:
+        training.inner_adapt(
+            stacked, cfg, (ds.matrix, ds.labels), 0.01, lams=np.array([0.2, 0.7, 0.9])
+        )
+    assert str(err.value) == "non-finite gradient for parameter 'output.weight' at lambda=0.9"
+
+
+def test_inner_adapt_takes_lams_by_keyword_only():
+    # a stale positional momentum must not be read as the stacked weights
+    cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
+    ds = make_ds("t", 6, 4, seed=2)
+    with pytest.raises(TypeError):
+        training.inner_adapt(init_model(cfg, seed=1), cfg, (ds.matrix, ds.labels), 0.01, 0.2)
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
@@ -170,7 +158,7 @@ def test_first_step_source_loss_is_the_mean_of_recomputed_adapted_losses():
     losses = []
     for src in sources:
         x, y = sample_batch(src.matrix, src.labels, cfg.batch_size, rng)
-        fast = training.inner_adapt(params, cfg.model, (x, y), cfg.inner_lr, cfg.inner_momentum)
+        fast = training.inner_adapt(params, cfg.model, (x, y), cfg.inner_lr)
         losses.append(ad.bce_loss(ad.Tensor(predict(fast, cfg.model, x)), ad.Tensor(y)).item())
     assert log.records[0].loss_source == pytest.approx(sum(losses) / 3, abs=1e-12)
     # the step's source batches differ, so the mean is not one source's loss
@@ -264,13 +252,14 @@ def test_train_meta_stacked_slices_equal_train_meta():
     sources = [make_ds(f"s{i}", 25, 6, seed=100 + i) for i in range(3)]
     target = make_ds("t", 20, 6, seed=110)
     lams = (0.0, 0.3, 1.0)
-    stacked, logs = training.train_meta_stacked(cfg, lams, sources, target)
+    stacked = training.train_meta_stacked(cfg, lams, sources, target)
     assert stacked["hidden.0.bias"].shape == (3, 5)
+    scores = predict(stacked, cfg.model, target.matrix)
     for i, lam in enumerate(lams):
-        params, log = training.train_meta(replace(cfg, lam=lam), sources, target)
+        params, _ = training.train_meta(replace(cfg, lam=lam), sources, target)
         for name in params.names():
             assert stacked[name][i].tobytes() == params[name].tobytes(), (lam, name)
-        assert [repr(r) for r in logs[i].records] == [repr(r) for r in log.records]
+        assert scores[i].tobytes() == predict(params, cfg.model, target.matrix).tobytes(), lam
 
 
 def test_train_meta_stacked_validates_inputs():
@@ -293,7 +282,7 @@ def test_stacked_divergence_names_the_first_diverging_slice():
     arrays["output.weight"][1:] = np.nan
     ds = make_ds("t", 8, 6, seed=1)
     with pytest.raises(TrainingError) as err:
-        training.inner_adapt(ModelParams(arrays), cfg, (ds.matrix, ds.labels), 0.01, 0.0, lams)
+        training.inner_adapt(ModelParams(arrays), cfg, (ds.matrix, ds.labels), 0.01, lams=lams)
     assert str(err.value) == "non-finite adaptation loss nan at lambda=0.7"
     grads = {"w": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf]])}
     params = ModelParams({"w": np.zeros((3, 2))})
@@ -339,8 +328,6 @@ def test_meta_config_validation():
         training.MetaConfig(model=model, inner_lr=float("nan"))
     with pytest.raises(ValueError, match="outer_lr must be finite"):
         training.MetaConfig(model=model, outer_lr=float("inf"))
-    with pytest.raises(ValueError):
-        training.MetaConfig(model=model, inner_momentum=1.0)
     with pytest.raises(ValueError):
         training.MetaConfig(model=model, epochs=0)
 
