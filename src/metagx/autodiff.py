@@ -13,6 +13,7 @@ plain numpy containers with zero bookkeeping cost.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "softmax",
     "conv1d",
     "max_pool1d",
+    "conv_block",
     "bce_loss",
 ]
 
@@ -427,6 +429,51 @@ def softmax(a, axis: int = -1) -> Tensor:
 # structured ops
 
 
+def _im2col(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int):
+    """Check a conv's arguments and copy the windows of ``x3`` once into a
+    column matrix [batch, in_channels*width, out_length]; returns it with the
+    padded input's shape."""
+    if stride < 1:
+        raise ValueError(f"conv1d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"conv1d padding must be >= 0, got {padding}")
+    if len(w_shape) != 3:
+        raise DimensionError(f"conv1d weight must be [out, in, width], got {w_shape}")
+    if x3.ndim != 3:
+        raise DimensionError(f"conv1d expects [batch, channels, length], got {x3.shape}")
+    _, c_in, width = w_shape
+    if x3.shape[1] != c_in:
+        raise DimensionError(
+            f"conv1d channel mismatch: input has {x3.shape[1]}, weight expects {c_in}"
+        )
+    padded_len = x3.shape[2] + 2 * padding
+    if padded_len < width:
+        raise DimensionError(
+            f"conv1d window {width} exceeds padded length {padded_len}"
+        )
+    xp = np.pad(x3, ((0, 0), (0, 0), (padding, padding))) if padding else x3
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=2)[:, :, ::stride]
+    nb, out_len = xp.shape[0], windows.shape[2]
+    return windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len), xp.shape
+
+
+def _conv_grads(g: Array, cols: Array, w2: Array, w_shape, xp_shape, stride, padding, tx, tw):
+    """conv1d's input and weight gradients from the output gradient ``g``;
+    None for an untracked operand. ``w2`` is the weight as [out, in*width]."""
+    gx = gw = None
+    if tw:
+        gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w_shape)
+    if tx:
+        nb, _, out_len = g.shape
+        _, c_in, width = w_shape
+        gcols = (w2.T @ g).reshape(nb, c_in, width, out_len)
+        gxp = np.zeros(xp_shape)
+        for k in range(width):
+            gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
+        gx = gxp[:, :, padding : xp_shape[2] - padding] if padding else gxp
+    return gx, gw
+
+
 def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation: out[b,o,j] = sum_{c,k} w[o,c,k] * x[b,c,j*stride+k-padding].
 
@@ -438,46 +485,48 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     both gradients are contiguous BLAS products.
     """
     x, w = _lift(x), _lift(w)
-    if stride < 1:
-        raise ValueError(f"conv1d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ValueError(f"conv1d padding must be >= 0, got {padding}")
-    if w.data.ndim != 3:
-        raise DimensionError(f"conv1d weight must be [out, in, width], got {w.data.shape}")
-    x3 = x.data
-    if x3.ndim != 3:
-        raise DimensionError(f"conv1d expects [batch, channels, length], got {x3.shape}")
-    c_out, c_in, width = w.data.shape
-    if x3.shape[1] != c_in:
-        raise DimensionError(
-            f"conv1d channel mismatch: input has {x3.shape[1]}, weight expects {c_in}"
-        )
-    length = x3.shape[2]
-    padded_len = length + 2 * padding
-    if padded_len < width:
-        raise DimensionError(
-            f"conv1d window {width} exceeds padded length {padded_len}"
-        )
-    xp = np.pad(x3, ((0, 0), (0, 0), (padding, padding))) if padding else x3
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=2)[:, :, ::stride]
-    nb, out_len, xp_shape = xp.shape[0], windows.shape[2], xp.shape
-    cols = windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len)
-    w2 = w.data.reshape(c_out, c_in * width)
+    w_shape = w.data.shape
+    cols, xp_shape = _im2col(x.data, w_shape, stride, padding)
+    w2 = w.data.reshape(w_shape[0], -1)
     tx, tw = x.node is not None, w.node is not None
 
     def vjp(g):
-        gx = gw = None
-        if tw:
-            gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, width)
-        if tx:
-            gcols = (w2.T @ g).reshape(nb, c_in, width, out_len)
-            gxp = np.zeros(xp_shape)
-            for k in range(width):
-                gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
-            gx = gxp[:, :, padding : padding + length] if padding else gxp
-        return gx, gw
+        return _conv_grads(g, cols, w2, w_shape, xp_shape, stride, padding, tx, tw)
 
     return _record((x, w), w2 @ cols, vjp)
+
+
+def _check_pool(size: int, stride: int, length: int) -> None:
+    if size < 1:
+        raise ValueError(f"max_pool1d size must be >= 1, got {size}")
+    if stride < 1:
+        raise ValueError(f"max_pool1d stride must be >= 1, got {stride}")
+    if length < size:
+        raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
+
+
+def _pool(x3: Array, size: int, stride: int) -> tuple[Array, Array]:
+    """Window maxima of ``x3`` along its last axis and each maximum's offset
+    in its window, in the smallest integer dtype that holds ``size - 1``."""
+    # one strided slice per window offset k holds element k of every window
+    span = (x3.shape[2] - size) // stride * stride + 1
+    out = x3[:, :, 0:span:stride].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(size - 1))
+    for k in range(1, size):
+        cand = x3[:, :, k : k + span : stride]
+        np.copyto(arg, k, where=cand > out)
+        np.maximum(out, cand, out=out)
+    return out, arg
+
+
+def _unpool(g: Array, arg: Array, stride: int, shape: tuple[int, ...]) -> Array:
+    """Route each window's gradient to its maximum; a fresh array of ``shape``."""
+    nb, nc, nw = arg.shape
+    # flat index of each window's maximum; bincount sums repeated picks
+    rows = np.arange(nb * nc).reshape(nb, nc, 1) * shape[2]
+    flat = rows + np.arange(nw) * stride + arg
+    gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=math.prod(shape))
+    return gx.reshape(shape)
 
 
 def max_pool1d(x, size: int, stride: int) -> Tensor:
@@ -486,38 +535,52 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
     ``x`` is [batch, channels, length]; the window must fit at least once.
     """
     x = _lift(x)
-    if size < 1:
-        raise ValueError(f"max_pool1d size must be >= 1, got {size}")
-    if stride < 1:
-        raise ValueError(f"max_pool1d stride must be >= 1, got {stride}")
     x3 = x.data
     if x3.ndim != 3:
         raise DimensionError(f"max_pool1d expects [batch, channels, length], got {x3.shape}")
-    length = x3.shape[2]
-    if length < size:
-        raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
-    # one strided slice per window offset k holds element k of every window
-    span = (length - size) // stride * stride + 1
-    out = x3[:, :, 0:span:stride].copy()
-    arg = np.zeros(out.shape, dtype=np.intp)
-    for k in range(1, size):
-        cand = x3[:, :, k : k + span : stride]
-        np.copyto(arg, k, where=cand > out)
-        np.maximum(out, cand, out=out)
+    _check_pool(size, stride, x3.shape[2])
+    out, arg = _pool(x3, size, stride)
+    # the VJP needs the input's shape only; holding the input itself would
+    # keep every pooled activation alive until backward
+    shape = x3.shape
+    return _record((x,), out, lambda g: (_unpool(g, arg, stride, shape),))
 
-    # the VJP needs the input's shape and size only; holding the input itself
-    # would keep every pooled activation alive until backward
-    shape, size = x3.shape, x3.size
+
+def conv_block(
+    x, w, *, stride: int, padding: int, slope: float, pool_size: int, pool_stride: int
+) -> Tensor:
+    """``max_pool1d(leaky_relu(conv1d(x, w, stride, padding), slope), pool_size,
+    pool_stride)`` as one node, bitwise equal to that chain in values and
+    gradients, with the same argument checks.
+
+    The VJP keeps the im2col columns, the weight, a bool mask of the negative
+    conv outputs and the pool's small-integer argmax; no float array of the
+    conv output's size outlives the call.
+    """
+    x, w = _lift(x), _lift(w)
+    w_shape = w.data.shape
+    cols, xp_shape = _im2col(x.data, w_shape, stride, padding)
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+    _check_pool(pool_size, pool_stride, cols.shape[2])
+    w2 = w.data.reshape(w_shape[0], -1)
+    z = w2 @ cols
+    # ~(z >= 0) marks where the chain's leaky-relu factor is the slope, NaN
+    # included; max(z, z * slope) is z * factor bit for bit
+    neg = ~(z >= 0)
+    a = z * slope
+    np.maximum(z, a, out=a)
+    conv_shape = z.shape
+    del z  # freed before the pool allocates its outputs
+    out, arg = _pool(a, pool_size, pool_stride)
+    tx, tw = x.node is not None, w.node is not None
 
     def vjp(g):
-        nb, nc, nw = arg.shape
-        # flat index of each window's maximum; bincount sums repeated picks
-        rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
-        flat = rows + np.arange(nw) * stride + arg
-        gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=size)
-        return (gx.reshape(shape),)
+        ga = _unpool(g, arg, pool_stride, conv_shape)
+        np.multiply(ga, slope, out=ga, where=neg)
+        return _conv_grads(ga, cols, w2, w_shape, xp_shape, stride, padding, tx, tw)
 
-    return _record((x,), out, vjp)
+    return _record((x, w), out, vjp)
 
 
 # ---------------------------------------------------------------------------

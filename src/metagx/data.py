@@ -271,8 +271,8 @@ def load_interactions_tsv(path: Path | str) -> GeneInteractionSet:
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise ParseError(f"{path}:{i}: expected two tab-separated gene symbols")
-        a, b = fields[0].strip(), fields[1].strip()
-        pairs.add((a, b) if a <= b else (b, a))
+        pairs.add((fields[0].strip(), fields[1].strip()))
+    # the set sorts each pair, so A-B and B-A are one pair
     return GeneInteractionSet(frozenset(pairs))
 
 

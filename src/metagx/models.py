@@ -260,16 +260,22 @@ def forward_mlp_tail(
 
 
 def forward_cnn(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:
-    """Single-channel 1-D conv stack: (conv, leaky-relu, max-pool) per layer,
-    flatten, sigmoid head. Conv layers carry no bias."""
+    """Single-channel 1-D conv stack: one ``conv_block`` node (conv,
+    leaky-relu, max-pool) per layer, flatten, sigmoid head. Conv layers carry
+    no bias."""
     _check_batch(config, batch)
     n = batch.data.shape[0]
     h = ad.reshape(batch, (n, 1, config.input_dim))
     for i in range(config.conv_layers):
-        w = _require(tensors, f"conv.{i}.weight")
-        h = ad.conv1d(h, w, stride=config.conv_stride, padding=config.conv_padding)
-        h = ad.leaky_relu(h, config.leaky_slope)
-        h = ad.max_pool1d(h, config.pool_size, config.pool_stride)
+        h = ad.conv_block(
+            h,
+            _require(tensors, f"conv.{i}.weight"),
+            stride=config.conv_stride,
+            padding=config.conv_padding,
+            slope=config.leaky_slope,
+            pool_size=config.pool_size,
+            pool_stride=config.pool_stride,
+        )
     flat = config.channels * conv_output_length(config)
     h = ad.reshape(h, (n, flat))
     return ad.sigmoid_head(h, _require(tensors, "output.weight"))

@@ -382,8 +382,8 @@ def train_meta_stacked(
     from the one seeded init; ``config.lam`` is not used. Slice i of the
     returned parameters is bitwise equal to ``train_meta``'s with
     ``lam = lams[i]``. ``predict`` on the result gives [Λ, n] scores. Only
-    the MLP stacks: ``conv1d`` and the transformer's token projection have no
-    bitwise-equal stacked form.
+    the MLP stacks: the CNN's ``conv_block`` and the transformer's token
+    projection have no bitwise-equal stacked form.
     """
     if config.model.architecture != "mlp":
         raise ValueError(f"only an MLP trains stacked, got {config.model.architecture!r}")

@@ -424,6 +424,89 @@ def test_max_pool1d_overlapping_windows_with_ties():
     )
 
 
+def unfused_conv_block(x, w, stride, padding, slope, pool_size, pool_stride):
+    """The conv1d -> leaky_relu -> max_pool1d chain that conv_block replaced."""
+    h = ad.conv1d(x, w, stride=stride, padding=padding)
+    return ad.max_pool1d(ad.leaky_relu(h, slope), pool_size, pool_stride)
+
+
+def _block_values_and_grads(op, x, w, g, **kw):
+    """The nodes ``op`` records, and its values and gradients of sum(out * g)."""
+    tape = ad.Tape()
+    xt, wt = tape.watch(x), tape.watch(w)
+    out = op(xt, wt, **kw)
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    return out.node - wt.node, (out.data, grads[xt.node].data, grads[wt.node].data)
+
+
+# small integers make exact zeros and tied conv outputs common
+_BLOCK_VALUES = np.array([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.5, np.nan])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    batch=st.integers(1, 2),
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    length=st.integers(1, 10),
+    width=st.integers(1, 4),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 2),
+    pool_size=st.integers(1, 3),
+    pool_stride=st.integers(1, 3),
+    slope=st.sampled_from([0.01, 0.2]),
+    values=st.sampled_from(["normal", "ties", "nan"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_block_is_one_node_bitwise_equal_to_the_unfused_chain(
+    batch, c_in, c_out, length, width, stride, padding, pool_size, pool_stride, slope, values, seed
+):
+    conv_len = (length + 2 * padding - width) // stride + 1
+    assume(length + 2 * padding >= width and conv_len >= pool_size)
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        x = rng.standard_normal((batch, c_in, length))
+        w = rng.standard_normal((c_out, c_in, width))
+    else:
+        palette = _BLOCK_VALUES if values == "nan" else _BLOCK_VALUES[:-1]
+        x = rng.choice(palette, size=(batch, c_in, length))
+        w = rng.choice(_BLOCK_VALUES[:-1], size=(c_out, c_in, width))
+    n_out = (conv_len - pool_size) // pool_stride + 1
+    g = rng.standard_normal((batch, c_out, n_out))
+    kw = dict(
+        stride=stride, padding=padding, slope=slope, pool_size=pool_size, pool_stride=pool_stride
+    )
+    _, want = _block_values_and_grads(unfused_conv_block, x, w, g, **kw)
+    nodes, got = _block_values_and_grads(ad.conv_block, x, w, g, **kw)
+    assert nodes == 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # without a tape the op records nothing and gives the same values
+    free = ad.conv_block(ad.Tensor(x), ad.Tensor(w), **kw)
+    assert free.node is None and free.data.tobytes() == want[0].tobytes()
+
+
+def test_conv_block_argument_checks_name_the_chain_ops():
+    x, w = ad.Tensor(np.ones((2, 3, 8))), ad.Tensor(np.ones((4, 3, 3)))
+    kw = dict(stride=1, padding=1, slope=0.01, pool_size=2, pool_stride=2)
+    for bad, error, message in [
+        ({"stride": 0}, ValueError, "conv1d stride must be >= 1"),
+        ({"padding": -1}, ValueError, "conv1d padding must be >= 0"),
+        ({"slope": 1.0}, ValueError, r"leaky_relu slope must be in \(0, 1\)"),
+        ({"pool_size": 0}, ValueError, "max_pool1d size must be >= 1"),
+        ({"pool_stride": 0}, ValueError, "max_pool1d stride must be >= 1"),
+        ({"pool_size": 9}, DimensionError, "max_pool1d window 9 exceeds length 8"),
+    ]:
+        with pytest.raises(error, match=message):
+            ad.conv_block(x, w, **{**kw, **bad})
+    with pytest.raises(DimensionError, match=r"conv1d expects \[batch, channels, length\]"):
+        ad.conv_block(ad.Tensor(np.ones((3, 8))), w, **kw)
+    with pytest.raises(DimensionError, match="conv1d channel mismatch"):
+        ad.conv_block(ad.Tensor(np.ones((2, 2, 8))), w, **kw)
+    with pytest.raises(DimensionError, match="conv1d window 3 exceeds padded length 2"):
+        ad.conv_block(ad.Tensor(np.ones((2, 3, 2))), w, **{**kw, "padding": 0})
+
+
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 
@@ -567,6 +650,60 @@ def test_conv1d_vjp_matches_finite_differences(
     # conv1d is linear in each input, so a wide step differences it exactly
     check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv1d(t, w, stride, padding), g)), x, 1e-3)
     check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv1d(x, t, stride, padding), g)), w, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "stride,padding,pool_size,pool_stride", [(1, 1, 2, 2), (2, 0, 3, 1), (1, 2, 2, 3)]
+)
+def test_grad_conv_block(stride, padding, pool_size, pool_stride):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 10))
+    w = rng.standard_normal((4, 3, 3))
+    kw = dict(
+        stride=stride, padding=padding, slope=0.1, pool_size=pool_size, pool_stride=pool_stride
+    )
+    check_op_grad(lambda t: ad.mean(ad.conv_block(t, w, **kw)), x)
+    check_op_grad(lambda t: ad.mean(ad.conv_block(x, t, **kw)), w)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    batch=st.integers(1, 2),
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    length=st.integers(1, 9),
+    width=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    pool_size=st.integers(1, 3),
+    pool_stride=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_block_vjp_matches_finite_differences(
+    batch, c_in, c_out, length, width, stride, padding, pool_size, pool_stride, seed
+):
+    conv_len = (length + 2 * padding - width) // stride + 1
+    assume(length + 2 * padding >= width and conv_len >= pool_size)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c_in, length))
+    w = rng.standard_normal((c_out, c_in, width))
+    # keep every conv output off the leaky-relu kink and every window's
+    # maximum clear of its runner-up, so that no finite-difference step
+    # crosses a kink or flips a maximum
+    z = ad.conv1d(x, w, stride, padding).data
+    assume(np.abs(z).min() > 1e-2)
+    a = ad.leaky_relu(z, 0.1).data
+    span = (conv_len - pool_size) // pool_stride * pool_stride + 1
+    win = np.stack([a[:, :, k : k + span : pool_stride] for k in range(pool_size)], axis=-1)
+    top2 = np.sort(win, axis=-1)[..., -2:]
+    assume(pool_size == 1 or (top2[..., 1] - top2[..., 0]).min() > 1e-2)
+    n_out = (conv_len - pool_size) // pool_stride + 1
+    g = rng.standard_normal((batch, c_out, n_out))
+    kw = dict(
+        stride=stride, padding=padding, slope=0.1, pool_size=pool_size, pool_stride=pool_stride
+    )
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv_block(t, w, **kw), g)), x)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.conv_block(x, t, **kw), g)), w)
 
 
 @settings(deadline=None, max_examples=30)
@@ -723,6 +860,24 @@ def test_conv1d_keeps_only_the_shape_of_its_input():
     assert grads[x.node].data.shape == (2, 3, 10) and grads[w.node].data.shape == (4, 3, 3)
 
 
+def test_conv_block_keeps_no_float_array_of_the_conv_output_size():
+    rng = np.random.default_rng(44)
+    nb, c_in, length, c_out, width = 4, 3, 40, 8, 3
+    tape = ad.Tape()
+    x = tape.watch(rng.standard_normal((nb, c_in, length)))
+    w = tape.watch(rng.standard_normal((c_out, c_in, width)))
+    out = ad.conv_block(x, w, stride=1, padding=1, slope=0.01, pool_size=2, pool_stride=2)
+    conv_elems = nb * c_out * length
+    cols_nbytes = nb * c_in * width * length * 8
+    cells = [c.cell_contents for c in tape._nodes[out.node].vjp.__closure__]
+    arrays = [a for a in cells if isinstance(a, np.ndarray)]
+    # the im2col columns, the weight, a bool mask and a one-byte argmax
+    assert sum(a.nbytes for a in arrays) <= cols_nbytes + w.data.nbytes + 2 * conv_elems
+    assert not any(a.dtype.kind == "f" and a.size == conv_elems for a in arrays)
+    grads = ad.backward(ad.mean(out))
+    assert grads[x.node].data.shape == x.data.shape and grads[w.node].data.shape == w.data.shape
+
+
 def test_dropped_tape_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
@@ -758,6 +913,15 @@ _OP_CALLS = {
     "softmax": lambda t: ad.softmax(_watched(t, 2, 3)),
     "conv1d": lambda t: ad.conv1d(_watched(t, 2, 3, 8), _watched(t, 4, 3, 3), padding=1),
     "max_pool1d": lambda t: ad.max_pool1d(_watched(t, 2, 3, 8), 2, 2),
+    "conv_block": lambda t: ad.conv_block(
+        _watched(t, 2, 3, 8),
+        _watched(t, 4, 3, 3),
+        stride=1,
+        padding=1,
+        slope=0.01,
+        pool_size=2,
+        pool_stride=2,
+    ),
     "bce_loss": lambda t: ad.bce_loss(_watched(t, 4), np.array([0.0, 1.0, 1.0, 0.0])),
 }
 

@@ -221,6 +221,13 @@ def test_interactions_pair_order_is_canonical(tmp_path):
     assert data.load_interactions_tsv(p1) == data.load_interactions_tsv(p2)
 
 
+def test_interactions_repeated_and_reversed_pairs_are_one_pair(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_text("A\tB\nB\tA\nB\tA\n", encoding="utf-8")
+    inter = data.load_interactions_tsv(path)
+    assert inter.pairs == frozenset({("A", "B")}) and inter.n_pairs == 1
+
+
 def test_interactions_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("A\tB\nA\tB\tC\n", encoding="utf-8")

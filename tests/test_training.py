@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from metagx import autodiff as ad
-from metagx import training
+from metagx import models, training
 from metagx.data import ExpressionDataset, sample_batch
 from metagx.errors import TrainingError
+from metagx.evaluate import cross_validate, cv_to_csv
 from metagx.models import ModelConfig, ModelParams, forward, init_model, predict
 from metagx.synth import SynthSpec, generate_task_family
 
@@ -260,6 +261,45 @@ def test_train_meta_stacked_slices_equal_train_meta():
         for name in params.names():
             assert stacked[name][i].tobytes() == params[name].tobytes(), (lam, name)
         assert scores[i].tobytes() == predict(params, cfg.model, target.matrix).tobytes(), lam
+
+
+def unfused_forward_cnn(tensors, config, batch):
+    """``models.forward_cnn`` as the conv1d -> leaky_relu -> max_pool1d chain
+    it recorded per layer before ``conv_block``: the reference forward."""
+    n = batch.data.shape[0]
+    h = ad.reshape(batch, (n, 1, config.input_dim))
+    for i in range(config.conv_layers):
+        w = tensors[f"conv.{i}.weight"]
+        h = ad.conv1d(h, w, stride=config.conv_stride, padding=config.conv_padding)
+        h = ad.leaky_relu(h, config.leaky_slope)
+        h = ad.max_pool1d(h, config.pool_size, config.pool_stride)
+    h = ad.reshape(h, (n, config.channels * models.conv_output_length(config)))
+    return ad.sigmoid_head(h, tensors["output.weight"])
+
+
+def test_cnn_artifacts_through_conv_block_equal_the_unfused_chain(monkeypatch, tmp_path):
+    sources, target = generate_task_family(SynthSpec(n_features=100, target_samples=40, seed=4))
+    model = ModelConfig("cnn", input_dim=100, channels=8)
+    cfg = tiny_meta_config(model=model, lam=0.5, epochs=2, batch_size=16, seed=5)
+
+    def artifacts(tag):
+        params, log = training.train_meta(cfg, sources, target)
+        log.to_csv(tmp_path / f"trainlog_{tag}.csv")
+        cv = cross_validate(sources, target, cfg, trainer="meta", k=3)
+        cv_to_csv(cv, tmp_path / f"cv_{tag}.csv")
+        files = [tmp_path / f"{kind}_{tag}.csv" for kind in ("trainlog", "cv")]
+        return params, [f.read_bytes() for f in files]
+
+    fused_params, fused_files = artifacts("fused")
+    calls = []
+    monkeypatch.setitem(
+        models._FORWARDS, "cnn", lambda *a: calls.append(1) or unfused_forward_cnn(*a)
+    )
+    chain_params, chain_files = artifacts("chain")
+    assert calls, "the reference forward did not run"
+    for name in fused_params.names():
+        assert fused_params[name].tobytes() == chain_params[name].tobytes(), name
+    assert fused_files == chain_files
 
 
 def test_train_meta_stacked_validates_inputs():
