@@ -103,11 +103,11 @@ class Tape:
         return len(self._nodes) - 1
 
 
-def backward(loss: Tensor, weight: float | Array = 1.0) -> dict[int, Tensor]:
+def backward(loss: Tensor, weight: float | Array = 1.0) -> dict[int, Array]:
     """Reverse sweep: gradients of ``weight * loss`` for every watched leaf.
 
     Returns a map from leaf node id (as handed out by ``Tape.watch``) to the
-    gradient tensor, shaped like the leaf. Leaves the loss never reached get
+    gradient array, shaped like the leaf. Leaves the loss never reached get
     exact zeros. The loss must be a 0-d tensor recorded on a tape, or the [Λ]
     per-slice losses of a stacked model with a [Λ] ``weight``: slice i of each
     gradient is then slice i's own gradient of ``weight[i] * loss[i]``.
@@ -143,12 +143,12 @@ def backward(loss: Tensor, weight: float | Array = 1.0) -> dict[int, Tensor]:
                 continue
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
 
-    out: dict[int, Tensor] = {}
+    out: dict[int, Array] = {}
     for nid in tape._watched:
         g = grads[nid]
         if g is None:
             g = np.zeros(nodes[nid].shape, dtype=np.float64)
-        out[nid] = Tensor(np.asarray(g, dtype=np.float64))
+        out[nid] = np.asarray(g, dtype=np.float64)
     # a consumed tape records nothing more; tensors that outlive it keep no
     # activations alive
     nodes.clear()

@@ -27,6 +27,7 @@ from . import __version__
 from .data import (
     ExpressionDataset,
     GeneInteractionSet,
+    NormalizationStats,
     apply_normalization,
     fit_normalization,
     load_expression_tsv,
@@ -428,28 +429,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         genes = tuple(sidecar["genes"])
-        mean = np.asarray(sidecar["normalization"]["mean"], dtype=np.float64)
-        std = np.asarray(sidecar["normalization"]["std"], dtype=np.float64)
+        norm = sidecar["normalization"]
+        stats = NormalizationStats(norm["mean"], norm["std"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"cannot read preprocessing sidecar {sidecar_path}: {exc}"
         ) from None
-    if len(genes) != model_cfg.input_dim:
+    if not len(genes) == stats.n_genes == model_cfg.input_dim:
         raise ConfigError(
             f"checkpoint expects {model_cfg.input_dim} features but the sidecar "
-            f"lists {len(genes)} genes"
-        )
-    if not (
-        mean.shape == std.shape == (len(genes),)
-        and np.all(np.isfinite(mean))
-        and np.all(np.isfinite(std) & (std > 0))
-    ):
-        raise ConfigError(
-            f"preprocessing sidecar {sidecar_path} must give one finite mean and one "
-            "finite, positive std per gene"
+            f"lists {len(genes)} genes and {stats.n_genes} normalization entries"
         )
     target_p = project(_load_target(cfg), genes)
-    matrix = (target_p.matrix - mean) / std
+    matrix = apply_normalization(target_p.matrix, stats)
     n_samples = min(args.samples, target_p.n_samples)
     out = _out_dir(cfg)
     attributions = []

@@ -119,6 +119,8 @@ class NormalizationStats:
         std = _frozen(self.std)
         if mean.ndim != 1 or std.shape != mean.shape:
             raise ValueError(f"mean/std must be matching 1-D arrays, got {mean.shape}/{std.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("mean and std entries must be finite")
         if np.any(std <= 0):
             raise ValueError("std entries must be strictly positive")
         object.__setattr__(self, "mean", mean)

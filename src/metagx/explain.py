@@ -7,8 +7,9 @@ values by averaging marginal contributions over random feature permutations;
 ``shapley_exact`` enumerates every subset and serves as the oracle for small
 feature counts.
 
-``model`` is normally a (ModelParams, ModelConfig) pair; passing a callable
-``matrix -> scores`` with ``config=None`` attributes any black-box scorer.
+``model`` is normally a parameter dict (name -> float64 array) with its
+ModelConfig; passing a callable ``matrix -> scores`` with ``config=None``
+attributes any black-box scorer.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def _predict_fn(model, config: ModelConfig | None) -> Callable[[Array], Array]:
         if not callable(model):
             raise TypeError("with config=None, model must be a callable matrix -> scores")
         return model
-    if not isinstance(model, ModelParams):
-        raise TypeError("model must be ModelParams when a ModelConfig is given")
+    if not isinstance(model, dict):
+        raise TypeError("model must be a parameter dict when a ModelConfig is given")
     return lambda matrix: predict(model, config, matrix)
 
 
@@ -163,7 +164,6 @@ def _mlp_values(params: ModelParams, config: ModelConfig, base: Array, sample: A
     base_pre = base[None, :] @ w.T + params["hidden.0.bias"]
     # [d, hidden], C order so that a permutation gathers whole rows
     steps = np.ascontiguousarray((sample - base)[:, None] * w.T)
-    tensors = params.constants()
 
     def values(perms: Array) -> Array:
         c, d = perms.shape
@@ -171,7 +171,7 @@ def _mlp_values(params: ModelParams, config: ModelConfig, base: Array, sample: A
         pre[:, 0] = 0.0
         np.cumsum(steps[perms], axis=1, out=pre[:, 1:])
         pre += base_pre
-        out = forward_mlp_tail(tensors, config, Tensor(pre.reshape(c * (d + 1), -1)))
+        out = forward_mlp_tail(params, config, Tensor(pre.reshape(c * (d + 1), -1)))
         return out.data.reshape(c, d + 1)
 
     return values

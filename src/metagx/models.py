@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -95,42 +95,8 @@ class ModelConfig:
                 )
 
 
-class ModelParams:
-    """Ordered, named float64 parameter arrays for one model instance."""
-
-    __slots__ = ("_arrays",)
-
-    def __init__(self, arrays: Mapping[str, Array]):
-        self._arrays = {
-            name: np.asarray(value, dtype=np.float64) for name, value in arrays.items()
-        }
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._arrays)
-
-    def __getitem__(self, name: str) -> Array:
-        return self._arrays[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def items(self) -> Iterator[tuple[str, Array]]:
-        return iter(self._arrays.items())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({n: a.copy() for n, a in self._arrays.items()})
-
-    def bind(self, tape: ad.Tape) -> dict[str, Tensor]:
-        """Watch every array on ``tape``; returns name -> leaf tensor."""
-        return {name: tape.watch(arr) for name, arr in self._arrays.items()}
-
-    def constants(self) -> dict[str, Tensor]:
-        """Tape-free tensors for pure inference."""
-        return {name: Tensor(arr) for name, arr in self._arrays.items()}
-
-    def __repr__(self) -> str:
-        scalars = sum(a.size for a in self._arrays.values())
-        return f"ModelParams({len(self._arrays)} arrays, {scalars} scalars)"
+# named float64 parameter arrays, in canonical name order
+ModelParams = dict[str, Array]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +182,7 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
             arrays[name] = np.zeros(shape)
         else:
             arrays[name] = _uniform(rng, shape, math.prod(shape[1:]))
-    return ModelParams(arrays)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +281,14 @@ def forward(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -
 
 
 def predict(params: ModelParams, config: ModelConfig, batch: Array) -> Array:
-    """Tape-free inference: probabilities for an [n, d] matrix.
+    """Tape-free inference: probabilities for an [n, d] matrix; the parameter
+    arrays enter ``forward`` as constants.
 
     Stacked MLP parameters (a leading [Λ] axis, as ``train_meta_stacked``
     returns them) give [Λ, n], each row bitwise equal to predicting with
     that slice alone.
     """
-    out = forward(params.constants(), config, Tensor(np.asarray(batch, dtype=np.float64)))
+    out = forward(params, config, Tensor(np.asarray(batch, dtype=np.float64)))
     return out.data
 
 
@@ -345,7 +312,7 @@ def save_checkpoint(path: Path | str, params: ModelParams, config: ModelConfig) 
             }
             for name, arr in params.items()
         },
-        "param_order": list(params.names()),
+        "param_order": list(params),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -390,4 +357,4 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
                 f"checkpoint {path} parameter {name!r} has shape {arr.shape}, "
                 f"the config needs {expected[name]}"
             )
-    return ModelParams(arrays), config
+    return arrays, config

@@ -190,7 +190,7 @@ def adam_step(
         state.m[name] = m
         state.v[name] = v
         new[name] = arr - lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
-    return ModelParams(new)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,8 @@ def _batch_loss(
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """BCE of ``params`` on one batch, recorded on a fresh tape, and its leaves."""
     x, y = batch
-    leaves = params.bind(ad.Tape())
+    watch = ad.Tape().watch
+    leaves = {name: watch(arr) for name, arr in params.items()}
     return ad.bce_loss(forward(leaves, model_config, Tensor(x)), Tensor(y)), leaves
 
 
@@ -216,7 +217,7 @@ def _grads(
 ) -> dict[str, Array]:
     """Gradients of ``weight * loss`` by parameter name; consumes the tape."""
     grads = ad.backward(loss, weight)
-    return {name: grads[leaf.node].data for name, leaf in leaves.items()}
+    return {name: grads[leaf.node] for name, leaf in leaves.items()}
 
 
 def inner_adapt(
@@ -235,9 +236,7 @@ def inner_adapt(
     value = _value(loss)
     _check_finite(value, lams, lambda v: f"non-finite adaptation loss {v}")
     grads = _grads(loss, leaves, 1.0 if lams is None else np.ones(len(lams)))
-    return ModelParams(
-        {n: a - alpha * _checked_grad(n, grads[n], lams) for n, a in params.items()}
-    )
+    return {n: a - alpha * _checked_grad(n, grads[n], lams) for n, a in params.items()}
 
 
 def outer_step(
@@ -395,7 +394,7 @@ def train_meta_stacked(
         raise ValueError("train_meta_stacked requires at least one source dataset")
     _check_inputs(config, [*sources, target_train])
     init = init_model(config.model, config.seed)
-    params = ModelParams({n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()})
+    params = {n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()}
     vec = np.array(lams, dtype=np.float64)
     return _train_loop(config, params, target_train, "train", TrainLog(), None, sources, vec)
 

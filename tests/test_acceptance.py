@@ -96,7 +96,7 @@ def _unflatten(flat: np.ndarray, ref: ModelParams) -> ModelParams:
     for name, arr in ref.items():
         arrays[name] = flat[i : i + arr.size].reshape(arr.shape).copy()
         i += arr.size
-    return ModelParams(arrays)
+    return arrays
 
 
 def test_gradients_match_finite_differences():
@@ -112,16 +112,16 @@ def test_gradients_match_finite_differences():
             labels = rng.integers(0, 2, size=3).astype(np.float64)
 
             tape = ad.Tape()
-            leaves = params.bind(tape)
+            leaves = {n: tape.watch(a) for n, a in params.items()}
             loss = ad.bce_loss(forward(leaves, config, Tensor(batch)), Tensor(labels))
             grads = ad.backward(loss)
             got = np.concatenate(
-                [grads[leaves[name].node].data.ravel() for name in params.names()]
+                [grads[leaves[name].node].ravel() for name in params]
             )
 
             def loss_at(flat: np.ndarray) -> float:
                 trial = _unflatten(flat, params)
-                out = forward(trial.constants(), config, Tensor(batch))
+                out = forward(trial, config, Tensor(batch))
                 return ad.bce_loss(out, Tensor(labels)).item()
 
             want = numeric_grad(loss_at, _flatten(params))
@@ -154,7 +154,7 @@ def test_lambda_one_equals_plain_training():
 
             assert len(trail_meta) == len(trail_plain)
             for pm, pp in zip(trail_meta, trail_plain):
-                for name in pm.names():
+                for name in pm:
                     worst = max(worst, float(np.max(np.abs(pm[name] - pp[name]))))
     _report(
         "mixing-weight endpoint",
@@ -490,8 +490,8 @@ def test_determinism_and_checkpoint_round_trip(tmp_path):
         save_checkpoint(path, params, config)
         loaded, loaded_config = load_checkpoint(path)
         assert loaded_config == config
-        assert loaded.names() == params.names()
-        for name in params.names():
+        assert tuple(loaded) == tuple(params)
+        for name in params:
             if not np.array_equal(loaded[name], params[name]):
                 worst = max(worst, float(np.max(np.abs(loaded[name] - params[name]))))
     ok = identical and worst == 0.0

@@ -22,7 +22,7 @@ def tape_grad(build, x):
     tape = ad.Tape()
     leaf = tape.watch(x)
     loss = build(leaf)
-    return ad.backward(loss)[leaf.node].data
+    return ad.backward(loss)[leaf.node]
 
 
 def check_op_grad(build, x, step=1e-5):
@@ -143,7 +143,7 @@ def test_max_pool1d_forward_and_tie_break():
     tape = ad.Tape()
     leaf = tape.watch(np.array([[[1.0, 3.0, 3.0, 0.0]]]))
     loss = ad.reduce_sum(ad.max_pool1d(leaf, size=4, stride=4))
-    g = ad.backward(loss)[leaf.node].data
+    g = ad.backward(loss)[leaf.node]
     np.testing.assert_array_equal(g, [[[0.0, 1.0, 0.0, 0.0]]])
 
 
@@ -216,7 +216,7 @@ def test_bce_loss_is_one_node_bitwise_equal_to_the_unfused_chain(preds, labels, 
     loss = ad.bce_loss(leaf, ad.Tensor(y))
     assert loss.node == leaf.node + 1
     assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
-    grad = ad.backward(loss if upstream == 1.0 else ad.mul(loss, upstream))[leaf.node].data
+    grad = ad.backward(loss if upstream == 1.0 else ad.mul(loss, upstream))[leaf.node]
     assert grad.tobytes() == want_grad.tobytes()
 
 
@@ -279,7 +279,7 @@ def test_linear_is_one_node_bitwise_equal_to_the_unfused_chain(case):
     assert out.data.tobytes() == want_out.tobytes()
     grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
     for leaf, want in zip(leaves, want_grads):
-        assert grads[leaf.node].data.tobytes() == want.tobytes()
+        assert grads[leaf.node].tobytes() == want.tobytes()
 
 
 _HEAD_INPUTS = {
@@ -303,8 +303,8 @@ def test_sigmoid_head_is_one_node_bitwise_equal_to_the_unfused_chain(case):
     assert out.node == wt.node + 1
     assert out.data.tobytes() == want_out.tobytes()
     grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
-    assert grads[xt.node].data.tobytes() == want_gx.tobytes()
-    assert grads[wt.node].data.tobytes() == want_gw.tobytes()
+    assert grads[xt.node].tobytes() == want_gx.tobytes()
+    assert grads[wt.node].tobytes() == want_gw.tobytes()
 
 
 def test_linear_and_sigmoid_head_shape_errors():
@@ -347,7 +347,7 @@ def test_stacked_ops_equal_per_slice_calls_bitwise(batch, d):
         probs = ad.sigmoid_head(h, leaves["w2"])
         loss = ad.bce_loss(probs, y)
         grads = ad.backward(loss, weight)
-        return probs.data, loss.data, {n: grads[leaf.node].data for n, leaf in leaves.items()}
+        return probs.data, loss.data, {n: grads[leaf.node] for n, leaf in leaves.items()}
 
     probs, loss, grads = run(params, weights)
     assert probs.shape == (lam, batch) and loss.shape == (lam,)
@@ -403,8 +403,8 @@ def test_conv1d_matches_loop_oracle(x_shape, w_shape, stride, padding):
     out = ad.conv1d(xt, wt, stride=stride, padding=padding)
     grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
     np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grads[xt.node].data, want_gx, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grads[wt.node].data, want_gw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[xt.node], want_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[wt.node], want_gw, rtol=0, atol=1e-12)
 
 
 def test_max_pool1d_overlapping_windows_with_ties():
@@ -416,7 +416,7 @@ def test_max_pool1d_overlapping_windows_with_ties():
     leaf = tape.watch(x[np.newaxis])
     out = ad.max_pool1d(leaf, size=3, stride=1)
     np.testing.assert_array_equal(out.data, [[[5.0] * 4, [0.0] * 4]])
-    grad = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g[np.newaxis]))))[leaf.node].data
+    grad = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g[np.newaxis]))))[leaf.node]
     # a position picked by several windows gets the sum of their gradients
     np.testing.assert_array_equal(
         grad[0],
@@ -436,7 +436,7 @@ def _block_values_and_grads(op, x, w, g, **kw):
     xt, wt = tape.watch(x), tape.watch(w)
     out = op(xt, wt, **kw)
     grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
-    return out.node - wt.node, (out.data, grads[xt.node].data, grads[wt.node].data)
+    return out.node - wt.node, (out.data, grads[xt.node], grads[wt.node])
 
 
 # small integers make exact zeros and tied conv outputs common
@@ -761,8 +761,8 @@ def test_watched_leaf_unreached_gets_zero_gradient():
     b = tape.watch(np.array([3.0, 4.0]))
     loss = ad.mean(ad.mul(a, a))
     grads = ad.backward(loss)
-    np.testing.assert_array_equal(grads[b.node].data, [0.0, 0.0])
-    np.testing.assert_allclose(grads[a.node].data, [1.0, 2.0])
+    np.testing.assert_array_equal(grads[b.node], [0.0, 0.0])
+    np.testing.assert_allclose(grads[a.node], [1.0, 2.0])
 
 
 def test_gradient_accumulates_across_reuse():
@@ -770,7 +770,7 @@ def test_gradient_accumulates_across_reuse():
     a = tape.watch(np.array(3.0).reshape(()))
     # f = a*a*a  -> df/da = 3a^2 = 27, summed over three uses
     loss = ad.mul(ad.mul(a, a), a)
-    g = ad.backward(loss)[a.node].data
+    g = ad.backward(loss)[a.node]
     assert float(g) == pytest.approx(27.0, abs=1e-12)
 
 
@@ -841,7 +841,7 @@ def test_max_pool1d_keeps_only_the_shape_of_its_input():
     del h
     # the pool's VJP needs the input's shape and size, not its values
     assert probe() is None
-    grad = ad.backward(ad.mean(pooled))[x.node].data
+    grad = ad.backward(ad.mean(pooled))[x.node]
     assert grad.shape == (2, 3, 10) and np.count_nonzero(grad) == 2 * 3 * 5
 
 
@@ -857,7 +857,7 @@ def test_conv1d_keeps_only_the_shape_of_its_input():
     # at padding 0 the input is its own padded copy; the VJP needs its shape
     assert probe() is None
     grads = ad.backward(ad.mean(out))
-    assert grads[x.node].data.shape == (2, 3, 10) and grads[w.node].data.shape == (4, 3, 3)
+    assert grads[x.node].shape == (2, 3, 10) and grads[w.node].shape == (4, 3, 3)
 
 
 def test_conv_block_keeps_no_float_array_of_the_conv_output_size():
@@ -875,7 +875,7 @@ def test_conv_block_keeps_no_float_array_of_the_conv_output_size():
     assert sum(a.nbytes for a in arrays) <= cols_nbytes + w.data.nbytes + 2 * conv_elems
     assert not any(a.dtype.kind == "f" and a.size == conv_elems for a in arrays)
     grads = ad.backward(ad.mean(out))
-    assert grads[x.node].data.shape == x.data.shape and grads[w.node].data.shape == w.data.shape
+    assert grads[x.node].shape == x.data.shape and grads[w.node].shape == w.data.shape
 
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ from metagx.cli import (
 )
 from metagx.data import load_expression_tsv
 from metagx.errors import ConfigError
-from metagx.models import load_checkpoint
+from metagx.models import ARCHITECTURES, ModelConfig, load_checkpoint
+from metagx.training import MetaConfig
 
 from conftest import count_trainer_calls
 
@@ -248,6 +249,16 @@ def test_effective_config_round_trip(tmp_path):
         assert getattr(cfg, field) != getattr(RunConfig(), field), field
         assert getattr(loaded, field) == getattr(cfg, field), field
     assert loaded == replace(cfg, lam_given=True, arch_given=True)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_run_config_defaults_match_the_model_and_meta_defaults(arch):
+    run = replace(RunConfig(), architecture=arch)
+    assert run.meta_config(30) == MetaConfig(model=ModelConfig(arch, 30))
+    model_fields = [f.name for f in fields(ModelConfig)]
+    assert list(SECTION_FIELDS["model"]) == [
+        name for name in model_fields if name not in ("input_dim", "attention_layers")
+    ]
 
 
 def test_effective_config_bytes(tmp_path):
@@ -942,6 +953,7 @@ BAD_NORMALIZATION = {
     "short_std": lambda mean, std: (mean, std[:-1]),
     "long_mean": lambda mean, std: ([*mean, 0.0], std),
     "nan_mean": lambda mean, std: ([math.nan, *mean[1:]], std),
+    "short_mean_and_std": lambda mean, std: (mean[:-1], std[:-1]),
 }
 
 

@@ -355,6 +355,15 @@ def test_normalization_errors():
         data.apply_normalization(np.ones((2, 4)), stats)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["mean", "std"])
+def test_normalization_stats_reject_non_finite_entries(field, bad):
+    values = {"mean": np.zeros(3), "std": np.ones(3)}
+    values[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        data.NormalizationStats(**values)
+
+
 def test_apply_uses_training_statistics():
     train = np.array([[0.0], [2.0]])
     stats = data.fit_normalization(train)

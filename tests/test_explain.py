@@ -53,7 +53,7 @@ def test_efficiency_axiom_on_model():
 def test_null_player_gets_exact_zero():
     cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
     params = init_model(cfg, seed=3)
-    blind = params.copy()
+    blind = {n: a.copy() for n, a in params.items()}
     blind["hidden.0.weight"][:, 2] = 0.0  # feature 2 can no longer reach the output
     rng = np.random.default_rng(4)
     background = rng.standard_normal((20, 4))
@@ -128,6 +128,20 @@ def test_input_validation():
         explain.shapley_exact("not a model", None, background, sample)
     with pytest.raises(ValueError):
         explain.shapley_exact(fn, None, background, sample, gene_ids=("only_one",))
+
+
+def test_model_with_a_config_is_a_parameter_dict():
+    cfg = ModelConfig("mlp", input_dim=3, hidden_dims=(2,))
+    params = init_model(cfg, seed=0)
+    background, sample = np.zeros((4, 3)), np.ones(3)
+    want = predict(params, cfg, sample[None, :])[0]
+    assert explain.shapley_exact(params, cfg, background, sample).prediction == want
+    assert explain.shapley_sampled(params, cfg, background, sample, 6, seed=0).prediction == want
+    arrays = list(params.values())
+    with pytest.raises(TypeError, match="parameter dict"):
+        explain.shapley_exact(arrays, cfg, background, sample)
+    with pytest.raises(TypeError, match="parameter dict"):
+        explain.shapley_sampled(arrays, cfg, background, sample, 6, seed=0)
 
 
 def test_rank_features_ordering_and_ties():

@@ -56,10 +56,10 @@ def test_init_deterministic_and_seed_sensitive(arch):
     a = models.init_model(cfg, seed=5)
     b = models.init_model(cfg, seed=5)
     c = models.init_model(cfg, seed=6)
-    assert a.names() == b.names() == c.names()
+    assert tuple(a) == tuple(b) == tuple(c)
     for name, arr in a.items():
         np.testing.assert_array_equal(arr, b[name])
-    assert any(not np.array_equal(a[n], c[n]) for n in a.names())
+    assert any(not np.array_equal(a[n], c[n]) for n in a)
 
 
 def test_init_bounds_and_zero_biases():
@@ -73,19 +73,19 @@ def test_init_bounds_and_zero_biases():
 
 
 def test_param_names_per_architecture():
-    assert models.init_model(tiny_config("mlp"), 0).names() == (
+    assert tuple(models.init_model(tiny_config("mlp"), 0)) == (
         "hidden.0.weight",
         "hidden.0.bias",
         "hidden.1.weight",
         "hidden.1.bias",
         "output.weight",
     )
-    assert models.init_model(tiny_config("cnn"), 0).names() == (
+    assert tuple(models.init_model(tiny_config("cnn"), 0)) == (
         "conv.0.weight",
         "conv.1.weight",
         "output.weight",
     )
-    assert models.init_model(tiny_config("transformer"), 0).names() == (
+    assert tuple(models.init_model(tiny_config("transformer"), 0)) == (
         "token.weight",
         "query.weight",
         "key.weight",
@@ -225,19 +225,19 @@ def test_model_loss_gradients_match_finite_differences(arch):
     y = (rng.random(4) < 0.5).astype(np.float64)
 
     tape = ad.Tape()
-    leaves = params.bind(tape)
+    leaves = {n: tape.watch(a) for n, a in params.items()}
     loss = ad.bce_loss(models.forward(leaves, cfg, ad.Tensor(x)), ad.Tensor(y))
     grads = ad.backward(loss)
 
-    for name in params.names():
+    for name in params:
         def loss_at(arr, _name=name):
-            trial = {n: (arr if n == _name else params[n]) for n in params.names()}
+            trial = {n: (arr if n == _name else params[n]) for n in params}
             out = models.forward(
                 {n: ad.Tensor(a) for n, a in trial.items()}, cfg, ad.Tensor(x)
             )
             return ad.bce_loss(out, ad.Tensor(y)).item()
 
-        got = grads[leaves[name].node].data
+        got = grads[leaves[name].node]
         want = numeric_grad(loss_at, params[name].copy())
         assert max_rel_err(got, want) < GRAD_TOL, name
 
@@ -254,7 +254,7 @@ def test_checkpoint_round_trip_exact(tmp_path, arch):
     models.save_checkpoint(path, params, cfg)
     loaded, loaded_cfg = models.load_checkpoint(path)
     assert loaded_cfg == cfg
-    assert loaded.names() == params.names()
+    assert tuple(loaded) == tuple(params)
     for name, arr in params.items():
         np.testing.assert_array_equal(loaded[name], arr)
 

@@ -12,7 +12,7 @@ from metagx import models, training
 from metagx.data import ExpressionDataset, sample_batch
 from metagx.errors import TrainingError
 from metagx.evaluate import cross_validate, cv_to_csv
-from metagx.models import ModelConfig, ModelParams, forward, init_model, predict
+from metagx.models import ModelConfig, forward, init_model, predict
 from metagx.synth import SynthSpec, generate_task_family
 
 from conftest import max_rel_err, numeric_grad
@@ -38,7 +38,7 @@ def tiny_meta_config(**kw) -> training.MetaConfig:
 
 
 def test_adam_first_step_is_signed_lr():
-    params = ModelParams({"w": np.array([2.0, -3.0])})
+    params = {"w": np.array([2.0, -3.0])}
     state = training.AdamState()
     out = training.adam_step(params, {"w": np.array([0.7, -0.1])}, 0.0004, state)
     delta = out["w"] - params["w"]
@@ -49,7 +49,7 @@ def test_adam_matches_hand_recurrence():
     grads = [0.3, -0.2, 0.05, 1.0, -0.7]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     theta, m, v = 0.5, 0.0, 0.0
-    params = ModelParams({"w": np.array([0.5])})
+    params = {"w": np.array([0.5])}
     state = training.AdamState()
     for t, g in enumerate(grads, start=1):
         m = b1 * m + (1 - b1) * g
@@ -60,7 +60,7 @@ def test_adam_matches_hand_recurrence():
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = ModelParams({"w": np.array([1.0])})
+    params = {"w": np.array([1.0])}
     with pytest.raises(TrainingError):
         training.adam_step(params, {"w": np.array([np.inf])}, 0.01, training.AdamState())
 
@@ -77,9 +77,9 @@ def test_inner_adapt_moves_against_finite_difference_gradient():
     y = (rng.random(6) < 0.5).astype(float)
     alpha = 0.01
     adapted = training.inner_adapt(params, cfg, (x, y), alpha)
-    for name in params.names():
+    for name in params:
         def loss_at(arr, _name=name):
-            trial = ModelParams({n: (arr if n == _name else params[n]) for n in params.names()})
+            trial = {n: (arr if n == _name else params[n]) for n in params}
             return ad.bce_loss(ad.Tensor(predict(trial, cfg, x)), ad.Tensor(y)).item()
 
         fd = numeric_grad(loss_at, params[name].copy())
@@ -105,7 +105,7 @@ def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch)
     with pytest.raises(TrainingError) as err:
         training.inner_adapt(init, cfg, (ds.matrix, ds.labels), 0.01)
     assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
-    stacked = ModelParams({n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()})
+    stacked = {n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()}
     with pytest.raises(TrainingError) as err:
         training.inner_adapt(
             stacked, cfg, (ds.matrix, ds.labels), 0.01, lams=np.array([0.2, 0.7, 0.9])
@@ -129,10 +129,10 @@ def test_weighted_backward_equals_backward_of_the_scaled_loss(arch):
 
     def leaf_grads(weight, fused):
         tape = ad.Tape()
-        leaves = params.bind(tape)
+        leaves = {n: tape.watch(a) for n, a in params.items()}
         loss = ad.bce_loss(forward(leaves, cfg, ad.Tensor(ds.matrix)), ad.Tensor(ds.labels))
         grads = ad.backward(loss, weight) if fused else ad.backward(ad.mul(loss, weight))
-        return {name: grads[leaf.node].data.tobytes() for name, leaf in leaves.items()}
+        return {name: grads[leaf.node].tobytes() for name, leaf in leaves.items()}
 
     for weight in (0.0, 0.25, 1.0):
         assert leaf_grads(weight, True) == leaf_grads(weight, False), weight
@@ -175,7 +175,7 @@ def test_lambda_zero_ignores_the_target_batches():
     p1, log1 = training.train_meta(cfg, sources, first)
     p2, log2 = training.train_meta(cfg, sources, other)
     assert [r.loss_target for r in log1.records] != [r.loss_target for r in log2.records]
-    for name in p1.names():
+    for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
 
 
@@ -210,7 +210,7 @@ def test_train_plain_runs_and_logs():
     assert len(log) == 3 * 3  # ceil(20/7) = 3 batches per epoch
     assert all(r.loss_source is None and r.loss_meta is None for r in log.records)
     assert all(np.isfinite(r.loss_target) for r in log.records)
-    assert params.names() == init_model(cfg.model, 0).names()
+    assert tuple(params) == tuple(init_model(cfg.model, 0))
 
 
 def test_train_meta_lambda_one_equals_plain():
@@ -227,7 +227,7 @@ def test_train_meta_lambda_one_equals_plain():
     )
     assert len(meta_snaps) == len(plain_snaps)
     for pm, pp in zip(meta_snaps, plain_snaps):
-        for name in pm.names():
+        for name in pm:
             np.testing.assert_array_equal(pm[name], pp[name])
     for rm, rp in zip(log_meta.records, log_plain.records):
         assert rm.loss_target == rp.loss_target
@@ -239,13 +239,13 @@ def test_train_meta_deterministic_and_seed_sensitive():
     cfg = tiny_meta_config(lam=0.5, epochs=2, batch_size=6, seed=11)
     p1, log1 = training.train_meta(cfg, sources, target)
     p2, log2 = training.train_meta(cfg, sources, target)
-    for name in p1.names():
+    for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
     assert [r.loss_meta for r in log1.records] == [r.loss_meta for r in log2.records]
 
     cfg2 = tiny_meta_config(lam=0.5, epochs=2, batch_size=6, seed=12)
     p3, _ = training.train_meta(cfg2, sources, target)
-    assert any(not np.array_equal(p1[n], p3[n]) for n in p1.names())
+    assert any(not np.array_equal(p1[n], p3[n]) for n in p1)
 
 
 def test_train_meta_stacked_slices_equal_train_meta():
@@ -258,7 +258,7 @@ def test_train_meta_stacked_slices_equal_train_meta():
     scores = predict(stacked, cfg.model, target.matrix)
     for i, lam in enumerate(lams):
         params, _ = training.train_meta(replace(cfg, lam=lam), sources, target)
-        for name in params.names():
+        for name in params:
             assert stacked[name][i].tobytes() == params[name].tobytes(), (lam, name)
         assert scores[i].tobytes() == predict(params, cfg.model, target.matrix).tobytes(), lam
 
@@ -297,7 +297,7 @@ def test_cnn_artifacts_through_conv_block_equal_the_unfused_chain(monkeypatch, t
     )
     chain_params, chain_files = artifacts("chain")
     assert calls, "the reference forward did not run"
-    for name in fused_params.names():
+    for name in fused_params:
         assert fused_params[name].tobytes() == chain_params[name].tobytes(), name
     assert fused_files == chain_files
 
@@ -322,10 +322,10 @@ def test_stacked_divergence_names_the_first_diverging_slice():
     arrays["output.weight"][1:] = np.nan
     ds = make_ds("t", 8, 6, seed=1)
     with pytest.raises(TrainingError) as err:
-        training.inner_adapt(ModelParams(arrays), cfg, (ds.matrix, ds.labels), 0.01, lams=lams)
+        training.inner_adapt(arrays, cfg, (ds.matrix, ds.labels), 0.01, lams=lams)
     assert str(err.value) == "non-finite adaptation loss nan at lambda=0.7"
     grads = {"w": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf]])}
-    params = ModelParams({"w": np.zeros((3, 2))})
+    params = {"w": np.zeros((3, 2))}
     with pytest.raises(TrainingError) as err:
         training.adam_step(params, grads, 0.01, training.AdamState(), lams)
     assert str(err.value) == "non-finite gradient for parameter 'w' at lambda=0.9"
@@ -355,7 +355,7 @@ def test_train_transfer_stages_and_plain_equivalence():
 
     p_plain, _ = training.train_plain(cfg, target)
     # pretraining must actually change the outcome
-    assert any(not np.array_equal(p_tr[n], p_plain[n]) for n in p_tr.names())
+    assert any(not np.array_equal(p_tr[n], p_plain[n]) for n in p_tr)
 
 
 def test_meta_config_validation():
