@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "linear",
     "reshape",
-    "pad_last",
     "mean",
     "reduce_sum",
     "leaky_relu",
@@ -297,18 +296,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _record((a,), out, lambda g: (g.reshape(old),))
 
 
-def pad_last(a, count: int) -> Tensor:
-    """Append ``count`` zeros along the last axis."""
-    a = _lift(a)
-    if count < 0:
-        raise ValueError(f"pad count must be >= 0, got {count}")
-    if count == 0:
-        return a
-    width = [(0, 0)] * (a.data.ndim - 1) + [(0, count)]
-    keep = a.data.shape[-1]
-    return _record((a,), np.pad(a.data, width), lambda g: (g[..., :keep],))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -319,13 +306,11 @@ def _normalize_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
-def mean(a, axis: int | None = None) -> Tensor:
-    """Arithmetic mean over one axis, or over all elements when axis is None."""
+def mean(a, axis: int) -> Tensor:
+    """Arithmetic mean over ``axis``, which the result drops; the transformer
+    pools its tokens with ``mean(att, axis=1)``."""
     a = _lift(a)
     shape = a.data.shape
-    if axis is None:
-        n = a.data.size
-        return _record((a,), a.data.mean(), lambda g: (np.broadcast_to(g / n, shape),))
     ax = _normalize_axis(axis, a.data.ndim)
     n = shape[ax]
 
@@ -335,18 +320,11 @@ def mean(a, axis: int | None = None) -> Tensor:
     return _record((a,), a.data.mean(axis=ax), vjp)
 
 
-def reduce_sum(a, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over all elements when axis is None."""
+def reduce_sum(a) -> Tensor:
+    """Sum of all elements as a 0-d tensor, a scalar to run ``backward`` from."""
     a = _lift(a)
     shape = a.data.shape
-    if axis is None:
-        return _record((a,), a.data.sum(), lambda g: (np.broadcast_to(g, shape),))
-    ax = _normalize_axis(axis, a.data.ndim)
-
-    def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), shape),)
-
-    return _record((a,), a.data.sum(axis=ax), vjp)
+    return _record((a,), a.data.sum(), lambda g: (np.broadcast_to(g, shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,17 @@ def fit_normalization(matrix: Array) -> NormalizationStats:
         raise ScaleError(f"normalization expects a 2-D matrix, got shape {matrix.shape}")
     if matrix.shape[0] == 0:
         raise ScaleError("cannot fit normalization on an empty matrix")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    # finite values near +-1.8e308 overflow the column sums: report the column
+    # instead of letting numpy warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        std = matrix.std(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflowed.size:
+        raise ScaleError(
+            f"cannot normalize column {overflowed[0]}: its mean or standard "
+            "deviation overflows float64"
+        )
     cutoff = _DEGENERATE_REL_TOL * np.maximum(1.0, np.abs(mean))
     std = np.where(std <= cutoff, 1.0, std)
     return NormalizationStats(mean, std)

@@ -7,6 +7,10 @@ ends in ``autodiff.sigmoid_head``, a sigmoid clipped to [1e-7, 1 - 1e-7], so
 downstream losses and attributions always see probabilities strictly inside
 (0, 1).
 
+The input batch is data: no gradient is ever taken with respect to it. It
+enters as a constant, the CNN and transformer shape it with numpy, and only
+parameters and the activations derived from them are recorded on a tape.
+
 Parameter draw order equals the canonical name order below, so a seed fully
 determines every weight:
 
@@ -190,6 +194,9 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
 
 
 def _check_batch(config: ModelConfig, batch: Tensor) -> None:
+    if batch.tape is not None:
+        # the input is shaped with numpy, so a watched batch would get no gradient
+        raise ValueError("the batch must be a constant, not a tensor recorded on a tape")
     if batch.data.ndim != 2:
         raise DimensionError(f"batch must be [n, features], got shape {batch.data.shape}")
     if batch.data.shape[1] != config.input_dim:
@@ -231,7 +238,7 @@ def forward_cnn(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tenso
     no bias."""
     _check_batch(config, batch)
     n = batch.data.shape[0]
-    h = ad.reshape(batch, (n, 1, config.input_dim))
+    h = batch.data.reshape(n, 1, config.input_dim)
     for i in range(config.conv_layers):
         h = ad.conv_block(
             h,
@@ -256,8 +263,8 @@ def forward_transformer(
     n = batch.data.shape[0]
     chunk = token_chunk(config)
     pad = config.tokens * chunk - config.input_dim
-    h = ad.pad_last(batch, pad) if pad else batch
-    tokens = ad.reshape(h, (n, config.tokens, chunk))
+    x = np.pad(batch.data, [(0, 0), (0, pad)]) if pad else batch.data
+    tokens = x.reshape(n, config.tokens, chunk)
     emb = ad.linear(tokens, _require(tensors, "token.weight"))
     q = ad.linear(emb, _require(tensors, "query.weight"))
     k = ad.linear(emb, _require(tensors, "key.weight"))

@@ -73,8 +73,9 @@ def test_leaky_relu_bitwise_on_special_values():
     for slope in (0.01, 0.2):
         got = ad.leaky_relu(ad.Tensor(x), slope=slope).data
         assert got.tobytes() == np.where(x >= 0, x, slope * x).tobytes()
-    grad = tape_grad(lambda t: ad.mean(ad.leaky_relu(t, 0.2)), np.array([0.0, -0.0, -1.0, 2.0]))
-    np.testing.assert_array_equal(grad * 4, [1.0, 1.0, 0.2, 1.0])
+    x = np.array([0.0, -0.0, -1.0, 2.0])
+    grad = tape_grad(lambda t: ad.reduce_sum(ad.leaky_relu(t, 0.2)), x)
+    np.testing.assert_array_equal(grad, [1.0, 1.0, 0.2, 1.0])
 
 
 def test_leaky_relu_tape_free_forward_equals_taped_bitwise():
@@ -518,7 +519,7 @@ def test_grad_add_mul_sub_broadcast(seed):
     c = rng.standard_normal(4)
     eye = np.eye(4)
     half = np.full(4, -0.5)
-    check_op_grad(lambda t: ad.mean(ad.mul(ad.linear(t, eye, c), ad.linear(t, eye, half))), x)
+    check_op_grad(lambda t: ad.reduce_sum(ad.mul(ad.linear(t, eye, c), ad.linear(t, eye, half))), x)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -526,32 +527,36 @@ def test_grad_matmul_both_sides(seed):
     rng = np.random.default_rng(seed + 10)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    check_op_grad(lambda t: ad.mean(ad.matmul(t, ad.Tensor(b))), a)
-    check_op_grad(lambda t: ad.mean(ad.matmul(ad.Tensor(a), t)), b)
+    check_op_grad(lambda t: ad.reduce_sum(ad.matmul(t, ad.Tensor(b))), a)
+    check_op_grad(lambda t: ad.reduce_sum(ad.matmul(ad.Tensor(a), t)), b)
 
 
 def test_grad_matmul_batched_operand():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((4, 5))
-    check_op_grad(lambda t: ad.mean(ad.matmul(ad.Tensor(a), t)), b)
-    check_op_grad(lambda t: ad.mean(ad.matmul(t, ad.Tensor(b))), a)
+    check_op_grad(lambda t: ad.reduce_sum(ad.matmul(ad.Tensor(a), t)), b)
+    check_op_grad(lambda t: ad.reduce_sum(ad.matmul(t, ad.Tensor(b))), a)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda t: ad.mean(ad.leaky_relu(t, 0.01)),
-        lambda t: ad.mean(ad.sigmoid_head(t, np.array([[0.5, -1.0, 2.0, 0.25]]))),
-        lambda t: ad.mean(ad.mul(ad.softmax(t, axis=-1), ad.Tensor(np.arange(12.0).reshape(3, 4)))),
+        lambda t: ad.reduce_sum(ad.leaky_relu(t, 0.01)),
+        lambda t: ad.reduce_sum(ad.sigmoid_head(t, np.array([[0.5, -1.0, 2.0, 0.25]]))),
+        lambda t: ad.reduce_sum(
+            ad.mul(ad.softmax(t, axis=-1), ad.Tensor(np.arange(12.0).reshape(3, 4)))
+        ),
         lambda t: ad.bce_loss(
             ad.sigmoid_head(ad.reshape(t, (12, 1)), np.ones((1, 1))), ad.Tensor(np.arange(12.0) % 2)
         ),
-        lambda t: ad.mean(ad.reduce_sum(ad.mul(t, t), axis=1)),
-        lambda t: ad.mean(ad.linear(t, np.arange(8.0).reshape(2, 4), np.array([1.0, -1.0]))),
-        lambda t: ad.mean(ad.reshape(t, (4, 3))),
-        lambda t: ad.mean(ad.pad_last(t, 3)),
-        lambda t: ad.mean(ad.mul(ad.linear(np.arange(20.0).reshape(5, 4) / 10, t), np.arange(3.0))),
+        lambda t: ad.reduce_sum(ad.mean(ad.mul(t, t), axis=1)),
+        lambda t: ad.reduce_sum(ad.linear(t, np.arange(8.0).reshape(2, 4), np.array([1.0, -1.0]))),
+        lambda t: ad.reduce_sum(ad.reshape(t, (4, 3))),
+        lambda t: ad.reduce_sum(ad.mul(ad.mean(t, axis=0), np.arange(4.0))),
+        lambda t: ad.reduce_sum(
+            ad.mul(ad.linear(np.arange(20.0).reshape(5, 4) / 10, t), np.arange(3.0))
+        ),
     ],
 )
 def test_grad_elementwise_and_shape_ops(build):
@@ -565,8 +570,8 @@ def test_grad_conv1d(stride, padding):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 3, 10))
     w = rng.standard_normal((4, 3, 3))
-    check_op_grad(lambda t: ad.mean(ad.conv1d(t, ad.Tensor(w), stride, padding)), x)
-    check_op_grad(lambda t: ad.mean(ad.conv1d(ad.Tensor(x), t, stride, padding)), w)
+    check_op_grad(lambda t: ad.reduce_sum(ad.conv1d(t, ad.Tensor(w), stride, padding)), x)
+    check_op_grad(lambda t: ad.reduce_sum(ad.conv1d(ad.Tensor(x), t, stride, padding)), w)
 
 
 @pytest.mark.parametrize("size,stride", [(2, 2), (3, 1), (2, 3)])
@@ -574,7 +579,7 @@ def test_grad_max_pool1d(size, stride):
     rng = np.random.default_rng(13)
     # well-separated values keep finite differences away from tie flips
     x = rng.permutation(np.arange(2 * 2 * 9, dtype=np.float64)).reshape(2, 2, 9)
-    check_op_grad(lambda t: ad.mean(ad.max_pool1d(t, size, stride)), x)
+    check_op_grad(lambda t: ad.reduce_sum(ad.max_pool1d(t, size, stride)), x)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -597,7 +602,7 @@ def test_grad_softmax_attention_stack():
     def build(t):
         scores = ad.mul(ad.linear(t, ad.Tensor(k)), 1.0 / 2.0)
         att = ad.matmul(ad.softmax(scores, axis=-1), ad.Tensor(v))
-        return ad.mean(att)
+        return ad.reduce_sum(att)
 
     check_op_grad(build, q)
 
@@ -662,8 +667,8 @@ def test_grad_conv_block(stride, padding, pool_size, pool_stride):
     kw = dict(
         stride=stride, padding=padding, slope=0.1, pool_size=pool_size, pool_stride=pool_stride
     )
-    check_op_grad(lambda t: ad.mean(ad.conv_block(t, w, **kw)), x)
-    check_op_grad(lambda t: ad.mean(ad.conv_block(x, t, **kw)), w)
+    check_op_grad(lambda t: ad.reduce_sum(ad.conv_block(t, w, **kw)), x)
+    check_op_grad(lambda t: ad.reduce_sum(ad.conv_block(x, t, **kw)), w)
 
 
 @settings(deadline=None, max_examples=30)
@@ -759,10 +764,10 @@ def test_watched_leaf_unreached_gets_zero_gradient():
     tape = ad.Tape()
     a = tape.watch(np.array([1.0, 2.0]))
     b = tape.watch(np.array([3.0, 4.0]))
-    loss = ad.mean(ad.mul(a, a))
+    loss = ad.reduce_sum(ad.mul(a, a))
     grads = ad.backward(loss)
     np.testing.assert_array_equal(grads[b.node], [0.0, 0.0])
-    np.testing.assert_allclose(grads[a.node], [1.0, 2.0])
+    np.testing.assert_allclose(grads[a.node], [2.0, 4.0])
 
 
 def test_gradient_accumulates_across_reuse():
@@ -805,7 +810,7 @@ def test_mixed_tapes_rejected():
 
 
 def test_constants_do_not_record():
-    out = ad.mean(ad.mul(ad.Tensor([1.0, 2.0]), 3.0))
+    out = ad.reduce_sum(ad.mul(ad.Tensor([1.0, 2.0]), 3.0))
     assert out.tape is None and out.node is None
 
 
@@ -824,7 +829,7 @@ def _conv_pool_probe(tape):
 def test_backward_releases_recorded_activations():
     tape = ad.Tape()
     pooled, probe = _conv_pool_probe(tape)
-    loss = ad.mean(pooled)
+    loss = ad.reduce_sum(pooled)
     del pooled
     assert probe() is not None
     ad.backward(loss)
@@ -841,7 +846,7 @@ def test_max_pool1d_keeps_only_the_shape_of_its_input():
     del h
     # the pool's VJP needs the input's shape and size, not its values
     assert probe() is None
-    grad = ad.backward(ad.mean(pooled))[x.node]
+    grad = ad.backward(ad.reduce_sum(pooled))[x.node]
     assert grad.shape == (2, 3, 10) and np.count_nonzero(grad) == 2 * 3 * 5
 
 
@@ -856,7 +861,7 @@ def test_conv1d_keeps_only_the_shape_of_its_input():
     del h
     # at padding 0 the input is its own padded copy; the VJP needs its shape
     assert probe() is None
-    grads = ad.backward(ad.mean(out))
+    grads = ad.backward(ad.reduce_sum(out))
     assert grads[x.node].shape == (2, 3, 10) and grads[w.node].shape == (4, 3, 3)
 
 
@@ -874,7 +879,7 @@ def test_conv_block_keeps_no_float_array_of_the_conv_output_size():
     # the im2col columns, the weight, a bool mask and a one-byte argmax
     assert sum(a.nbytes for a in arrays) <= cols_nbytes + w.data.nbytes + 2 * conv_elems
     assert not any(a.dtype.kind == "f" and a.size == conv_elems for a in arrays)
-    grads = ad.backward(ad.mean(out))
+    grads = ad.backward(ad.reduce_sum(out))
     assert grads[x.node].shape == x.data.shape and grads[w.node].shape == w.data.shape
 
 
@@ -896,8 +901,7 @@ def _watched(tape, *shape):
     return tape.watch(np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape))
 
 
-# one call per recording op on watched leaves; the reductions chain their
-# axis and whole-array forms
+# one call per recording op on watched leaves
 _OP_CALLS = {
     "mul": lambda t: ad.mul(_watched(t, 2, 3), _watched(t, 3)),
     "matmul": lambda t: ad.matmul(_watched(t, 2, 3), _watched(t, 3, 4)),
@@ -905,9 +909,8 @@ _OP_CALLS = {
         ad.linear(_watched(t, 2, 3), _watched(t, 4, 3)), _watched(t, 5, 4), _watched(t, 5)
     ),
     "reshape": lambda t: ad.reshape(_watched(t, 2, 3), (3, 2)),
-    "pad_last": lambda t: ad.pad_last(_watched(t, 2, 3), 2),
-    "mean": lambda t: ad.mean(ad.mean(_watched(t, 2, 3), axis=0)),
-    "reduce_sum": lambda t: ad.reduce_sum(ad.reduce_sum(_watched(t, 2, 3), axis=1)),
+    "mean": lambda t: ad.mean(_watched(t, 2, 3), axis=-1),
+    "reduce_sum": lambda t: ad.reduce_sum(_watched(t, 2, 3)),
     "leaky_relu": lambda t: ad.leaky_relu(_watched(t, 2, 3)),
     "sigmoid_head": lambda t: ad.sigmoid_head(_watched(t, 2, 3), _watched(t, 1, 3)),
     "softmax": lambda t: ad.softmax(_watched(t, 2, 3)),

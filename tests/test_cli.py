@@ -468,6 +468,24 @@ def test_meta_without_sources_exits_two(tmp_path, family_dir, capsys):
     assert "sources" in capsys.readouterr().err
 
 
+def test_overflowing_gene_exits_two_with_one_error_line(tmp_path, capsys):
+    # gene B's values are finite, but its column sum overflows float64; the
+    # test run turns numpy's RuntimeWarnings into errors, so none may escape
+    rows = [f"s{i}\t{1.0 + i}\t{b}\t{i % 2}" for i, b in enumerate(["1e308"] * 3 + ["1"] * 5)]
+    target = tmp_path / "target.tsv"
+    target.write_text("sample_id\tA\tB\tlabel\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        f"[data]\ntarget = {target}\n[training]\nepochs = 1\n[run]\ntrainer = plain\n",
+        encoding="utf-8",
+    )
+    code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot normalize column 1: its mean or standard deviation overflows float64\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # synth
 

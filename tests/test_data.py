@@ -355,6 +355,21 @@ def test_normalization_errors():
         data.apply_normalization(np.ones((2, 4)), stats)
 
 
+@pytest.mark.parametrize(
+    "column",
+    [[1e308, 1e308, -1e308, 1.0], [1e308, -1e308, 1e308, -1e308]],
+    ids=["sum", "squares"],
+)
+def test_normalization_overflow_names_the_column_without_a_warning(column):
+    # finite values near the float64 limit overflow the column sum or the
+    # sum of squared deviations
+    matrix = np.column_stack([np.ones(4), column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleError, match="cannot normalize column 1: "):
+            data.fit_normalization(matrix)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["mean", "std"])
 def test_normalization_stats_reject_non_finite_entries(field, bad):

@@ -212,6 +212,27 @@ def test_forward_rejects_wrong_parameter_set():
         models.predict(mlp, cnn_cfg, np.ones((2, cnn_cfg.input_dim)))
 
 
+@pytest.mark.parametrize("arch,want", [("mlp", 5), ("cnn", 4), ("transformer", 10)])
+def test_forward_calls_autodiff_only_on_parameters_and_activations(monkeypatch, arch, want):
+    # the batch is a constant shaped with numpy (the transformer's pad and
+    # token reshape, the CNN's channel axis), so no op is spent on it
+    cfg = models.ModelConfig(arch, input_dim=50)
+    params = models.init_model(cfg, seed=0)
+    x = np.random.default_rng(1).standard_normal((3, 50))
+    calls = []
+    for name in ad.__all__:
+        if name not in ("Tensor", "Tape"):
+            op = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *a, _op=op, **k: calls.append(1) or _op(*a, **k))
+    tape = ad.Tape()
+    leaves = {n: tape.watch(a) for n, a in params.items()}
+    out = models.forward(leaves, cfg, ad.Tensor(x))
+    assert out.node is not None
+    assert len(calls) == want
+    with pytest.raises(ValueError, match="batch must be a constant"):
+        models.forward(leaves, cfg, tape.watch(x))
+
+
 # ---------------------------------------------------------------------------
 # gradients through full models
 
