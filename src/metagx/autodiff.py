@@ -336,12 +336,10 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     a = _lift(a)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    if _tape_of(a) is None:
-        # same values as x * factor below, without the slow np.where
-        out = a.data * slope
-        return Tensor(np.maximum(a.data, out, out=out))
-    factor = np.where(a.data >= 0, 1.0, slope)
-    return _record((a,), a.data * factor, lambda g: (g * factor,))
+    x = a.data
+    out = x * slope
+    np.maximum(x, out, out=out)
+    return _record((a,), out, lambda g: (g * np.where(x >= 0, 1.0, slope),))
 
 
 def _sigmoid_values(x: Array) -> Array:

@@ -333,7 +333,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _warn_lambda_ignored(cfg)
     genes, norm_sources, target_p = prepare_cohorts(*_load_inputs(cfg))
-    stats = fit_normalization(target_p.matrix)
+    stats = fit_normalization(target_p)
     target_n = target_p.with_matrix(apply_normalization(target_p.matrix, stats))
     meta_cfg = cfg.meta_config(len(genes))
     params, log = train(cfg.trainer, meta_cfg, norm_sources, target_n)

@@ -325,19 +325,17 @@ def project(dataset: ExpressionDataset, genes: Sequence[str]) -> ExpressionDatas
 # normalization
 
 
-def fit_normalization(matrix: Array) -> NormalizationStats:
-    """Per-column mean and population standard deviation.
+def fit_normalization(dataset: ExpressionDataset) -> NormalizationStats:
+    """Per-gene mean and population standard deviation of a dataset's matrix.
 
-    Columns whose spread is zero up to floating-point noise (relative to the
-    column mean) get scale 1 so they normalize to exact zeros instead of
+    Genes whose spread is zero up to floating-point noise (relative to the
+    gene's mean) get scale 1 so they normalize to exact zeros instead of
     amplified rounding error.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ScaleError(f"normalization expects a 2-D matrix, got shape {matrix.shape}")
+    matrix = dataset.matrix
     if matrix.shape[0] == 0:
         raise ScaleError("cannot fit normalization on an empty matrix")
-    # finite values near +-1.8e308 overflow the column sums: report the column
+    # finite values near +-1.8e308 overflow the column sums: report the gene
     # instead of letting numpy warn
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
@@ -345,8 +343,8 @@ def fit_normalization(matrix: Array) -> NormalizationStats:
     overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if overflowed.size:
         raise ScaleError(
-            f"cannot normalize column {overflowed[0]}: its mean or standard "
-            "deviation overflows float64"
+            f"cannot normalize gene {dataset.gene_ids[overflowed[0]]!r} of {dataset.name}: "
+            "its mean or standard deviation overflows float64"
         )
     cutoff = _DEGENERATE_REL_TOL * np.maximum(1.0, np.abs(mean))
     std = np.where(std <= cutoff, 1.0, std)

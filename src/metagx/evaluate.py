@@ -30,7 +30,7 @@ from .data import (
     select_common_genes,
     stratified_kfold,
 )
-from .errors import DimensionError, MetricError
+from .errors import DimensionError, MetricError, TrainingError
 from .models import ModelParams, predict
 from .training import (
     MetaConfig,
@@ -275,7 +275,7 @@ def prepare_cohorts(
     genes = shared_genes(sources, target, interactions)
     sources_p = [project(src, genes) for src in sources]
     norm_sources = [
-        src.with_matrix(apply_normalization(src.matrix, fit_normalization(src.matrix)))
+        src.with_matrix(apply_normalization(src.matrix, fit_normalization(src)))
         for src in sources_p
     ]
     return genes, norm_sources, project(target, genes)
@@ -312,7 +312,7 @@ def _folds(
         train_idx = split.train_indices(fold)
         test_idx = split.test_indices(fold)
         train_ds = target_p.take(train_idx)
-        stats = fit_normalization(train_ds.matrix)
+        stats = fit_normalization(train_ds)
         yield _Fold(
             config=replace(config, model=model, seed=_fold_seed(config.seed, fold)),
             sources=norm_sources,
@@ -384,6 +384,15 @@ def cv_to_csv(result: CvResult, path: Path | str) -> None:
 # mixing-weight sweep
 
 
+def _train_meta_at(fold: _Fold, lam: float) -> ModelParams:
+    """``train_meta`` on one fold at one mixing weight; a divergence names the weight."""
+    try:
+        params, _ = train_meta(replace(fold.config, lam=lam), fold.sources, fold.train)
+    except TrainingError as exc:
+        raise TrainingError(f"{exc} at lambda={float(lam)!r}") from exc
+    return params
+
+
 def lambda_sweep(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
@@ -402,6 +411,11 @@ def lambda_sweep(
     (``train_meta_stacked``) scored by one ``predict``; the CNN and the
     transformer train one weight at a time. Either way each point equals
     ``cross_validate`` of the meta trainer at its weight, bit for bit.
+
+    A ``TrainingError`` names the first weight, in grid order, whose own run
+    diverges. A stacked block that diverges is re-run one weight at a time to
+    find it, which is exact because each slice equals its own run; if no
+    weight diverges alone, the stacked error is raised unchanged.
     """
     if not lambdas:
         raise ValueError("lambda_sweep needs at least one mixing weight")
@@ -416,9 +430,14 @@ def lambda_sweep(
         for start in range(0, len(lambdas), block):
             lams = lambdas[start : start + block]
             if block == 1:
-                params, _ = train_meta(replace(fold.config, lam=lams[0]), fold.sources, fold.train)
+                params = _train_meta_at(fold, lams[0])
             else:
-                params = train_meta_stacked(fold.config, lams, fold.sources, fold.train)
+                try:
+                    params = train_meta_stacked(fold.config, lams, fold.sources, fold.train)
+                except TrainingError:
+                    for lam in lams:
+                        _train_meta_at(fold, lam)
+                    raise
             scores = predict(params, fold.config.model, fold.test_matrix)
             for i, row in enumerate(scores.reshape(len(lams), -1)):
                 reports[start + i].append(classification_metrics(row, fold.test_labels))
@@ -441,11 +460,7 @@ def best_lambda(points: Sequence[SweepPoint]) -> SweepPoint:
     """Point with the highest mean F1; the earliest wins ties."""
     if not points:
         raise ValueError("no sweep points given")
-    best = points[0]
-    for p in points[1:]:
-        if p.f1_mean > best.f1_mean:
-            best = p
-    return best
+    return max(points, key=lambda p: p.f1_mean)
 
 
 def sweep_to_csv(points: Sequence[SweepPoint], path: Path | str) -> None:

@@ -29,7 +29,9 @@ Because neither stream depends on lam, ``train_meta_stacked`` trains one MLP
 per mixing weight as one stacked model: every parameter gets a leading [Λ]
 axis, lam becomes a [Λ] vector, and each slice runs through the same
 expressions in the same order as ``train_meta``, so it is bitwise equal to
-``train_meta`` at its weight.
+``train_meta`` at its weight. The step functions are shape-generic: a stacked
+divergence error carries the [Λ] loss values, and ``evaluate.lambda_sweep``
+names the diverging weight.
 """
 
 from __future__ import annotations
@@ -145,44 +147,32 @@ class TrainLog:
 # optimizer steps
 
 
-def _check_finite(values, lams: Array | None, describe: Callable[[object], str]) -> None:
-    """Raise TrainingError(describe(v)) unless every value is finite.
-
-    Unstacked (``lams`` None), ``v`` is ``values``. In a stacked block,
-    ``values`` has a leading [Λ] axis, ``v`` is its first slice holding a
-    non-finite value, and the message names that slice's mixing weight.
-    """
-    if np.all(np.isfinite(values)):
-        return
-    if lams is None:
+def _check_finite(values, describe: Callable[[object], str]) -> None:
+    """Raise TrainingError(describe(values)) unless every value is finite."""
+    if not np.all(np.isfinite(values)):
         raise TrainingError(describe(values))
-    finite = np.isfinite(values).reshape(len(lams), -1).all(axis=1)
-    i = int(np.flatnonzero(~finite)[0])
-    raise TrainingError(f"{describe(values[i])} at lambda={float(lams[i])!r}")
 
 
-def _checked_grad(name: str, grad: Array, lams: Array | None = None) -> Array:
-    _check_finite(grad, lams, lambda _: f"non-finite gradient for parameter {name!r}")
-    return grad
+def _check_grads(grads: dict[str, Array]) -> None:
+    """Raise TrainingError naming the first parameter with a non-finite gradient."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
 
 def adam_step(
-    params: ModelParams,
-    grads: dict[str, Array],
-    lr: float,
-    state: AdamState,
-    lams: Array | None = None,
+    params: ModelParams, grads: dict[str, Array], lr: float, state: AdamState
 ) -> ModelParams:
-    """One bias-corrected Adam step; ``state`` is updated in place. ``lams``
-    names the mixing weights of stacked parameters in divergence errors."""
+    """One bias-corrected Adam step; ``state`` is updated in place."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    _check_grads(grads)
     state.t += 1
     bc1 = 1.0 - _BETA1**state.t
     bc2 = 1.0 - _BETA2**state.t
     new = {}
     for name, arr in params.items():
-        g = _checked_grad(name, grads[name], lams)
+        g = grads[name]
         m = state.m.get(name, 0.0)
         v = state.v.get(name, 0.0)
         m = _BETA1 * m + (1.0 - _BETA1) * g
@@ -221,37 +211,27 @@ def _grads(
 
 
 def inner_adapt(
-    params: ModelParams,
-    model_config: ModelConfig,
-    batch: tuple[Array, Array],
-    alpha: float,
-    *,
-    lams: Array | None = None,
+    params: ModelParams, model_config: ModelConfig, batch: tuple[Array, Array], alpha: float
 ) -> ModelParams:
     """Adapt a copy of ``params`` to one batch with one SGD step,
-    theta - alpha * g; the input parameters are untouched. ``lams`` marks
-    ``params`` as stacked, one slice per mixing weight.
+    theta - alpha * g; the input parameters are untouched.
     """
     loss, leaves = _batch_loss(params, model_config, batch)
-    value = _value(loss)
-    _check_finite(value, lams, lambda v: f"non-finite adaptation loss {v}")
-    grads = _grads(loss, leaves, 1.0 if lams is None else np.ones(len(lams)))
-    return {n: a - alpha * _checked_grad(n, grads[n], lams) for n, a in params.items()}
+    _check_finite(_value(loss), lambda v: f"non-finite adaptation loss {v}")
+    grads = _grads(loss, leaves, np.ones_like(loss.data))
+    _check_grads(grads)
+    return {n: a - alpha * grads[n] for n, a in params.items()}
 
 
 def outer_step(
-    params: ModelParams,
-    grads: dict[str, Array],
-    state: AdamState,
-    lr: float,
-    lams: Array | None = None,
+    params: ModelParams, grads: dict[str, Array], state: AdamState, lr: float
 ) -> ModelParams:
     """Apply one meta step's gradient with one Adam step.
 
     ``grads`` holds each parameter's weighted term gradients summed left to
     right, the target's first: ``((g_T + g_1) + g_2) + ...``.
     """
-    return adam_step(params, grads, lr, state, lams)
+    return adam_step(params, grads, lr, state)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +297,7 @@ def _train_loop(
             loss, leaves = _batch_loss(params, config.model, batch)
             lt_v = _value(loss)
             _check_finite(
-                lt_v, lams, lambda v: f"non-finite {stage} loss {v} at step {step} (epoch {epoch})"
+                lt_v, lambda v: f"non-finite {stage} loss {v} at step {step} (epoch {epoch})"
             )
             grads = _grads(loss, leaves, lam if sources else 1.0)
             ls_v = lm_v = None
@@ -326,12 +306,11 @@ def _train_loop(
                 values = []
                 for src in sources:
                     src_batch = sample_batch(src.matrix, src.labels, config.batch_size, source_rng)
-                    fast = inner_adapt(params, config.model, src_batch, config.inner_lr, lams=lams)
+                    fast = inner_adapt(params, config.model, src_batch, config.inner_lr)
                     loss, leaves = _batch_loss(fast, config.model, src_batch)
                     values.append(_value(loss))
                     _check_finite(
                         values[-1],
-                        lams,
                         lambda v: f"non-finite source loss {v} at step {step} (epoch {epoch})",
                     )
                     # summing as the terms arrive keeps two gradient maps alive,
@@ -340,7 +319,7 @@ def _train_loop(
                         grads[name] = grads[name] + g
                 ls_v = sum(values[1:], values[0]) * (1.0 / len(sources))
                 lm_v = lt_v * lam + ls_v * (1.0 - lam)
-            params = outer_step(params, grads, adam, config.outer_lr, lams)
+            params = outer_step(params, grads, adam, config.outer_lr)
             log.append(step, epoch, lt_v, ls_v, lm_v, stage)
             if on_step is not None:
                 on_step(step, params)
@@ -382,7 +361,8 @@ def train_meta_stacked(
     returned parameters is bitwise equal to ``train_meta``'s with
     ``lam = lams[i]``. ``predict`` on the result gives [Λ, n] scores. Only
     the MLP stacks: the CNN's ``conv_block`` and the transformer's token
-    projection have no bitwise-equal stacked form.
+    projection have no bitwise-equal stacked form. A divergence error carries
+    the [Λ] values and names no weight; ``evaluate.lambda_sweep`` names it.
     """
     if config.model.architecture != "mlp":
         raise ValueError(f"only an MLP trains stacked, got {config.model.architecture!r}")

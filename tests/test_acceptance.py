@@ -348,7 +348,7 @@ def test_feature_selection_pipeline():
     ok_list = kept == ("GB", "GC")
 
     projected = project(target, kept)
-    stats = fit_normalization(projected.matrix)
+    stats = fit_normalization(projected)
     normalized = apply_normalization(projected.matrix, stats)
     mean_err = float(np.max(np.abs(normalized.mean(axis=0))))
     std_err = float(np.max(np.abs(normalized.std(axis=0) - 1.0)))

@@ -58,6 +58,7 @@ def family_dir(tmp_path_factory) -> Path:
 def write_config(path: Path, family: Path, **overrides) -> Path:
     values = {
         "trainer": "plain",
+        "arch": "mlp",
         "epochs": 2,
         "batch_size": 16,
         "alpha": 0.01,
@@ -65,6 +66,7 @@ def write_config(path: Path, family: Path, **overrides) -> Path:
         "k": 2,
         "seed": 3,
         "lambda_line": "",
+        "model_line": "",
     }
     values.update(overrides)
     text = (
@@ -73,8 +75,9 @@ def write_config(path: Path, family: Path, **overrides) -> Path:
         f"target = {family / 'synth_target.tsv'}\n"
         "\n"
         "[model]\n"
-        "architecture = mlp\n"
+        f"architecture = {values['arch']}\n"
         "hidden_dims = 8, 4\n"
+        f"{values['model_line']}"
         "\n"
         "[training]\n"
         f"alpha = {values['alpha']}\n"
@@ -432,11 +435,20 @@ def test_diverging_training_exits_three_with_one_error_line(tmp_path, family_dir
     assert capsys.readouterr().err == "error: non-finite source loss nan at step 1 (epoch 1)\n"
 
 
+@pytest.mark.parametrize("arch", ["mlp", "cnn", "transformer"])
 def test_diverging_sweep_exits_three_naming_the_first_diverging_lambda(
-    tmp_path, family_dir, capsys
+    tmp_path, family_dir, capsys, arch
 ):
-    # every weight diverges at step 1; the stacked block reports its first slice
-    cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", alpha=1e300, epochs=1)
+    # every weight diverges at step 1; every architecture names the first one
+    cfg_file = write_config(
+        tmp_path / "run.ini",
+        family_dir,
+        trainer="meta",
+        alpha=1e300,
+        epochs=1,
+        arch=arch,
+        model_line="tokens = 4\n",  # the 12-gene family is narrower than 16 tokens
+    )
     out = str(tmp_path / "o")
     assert main(["sweep", "--config", str(cfg_file), "--out", out, "--lambdas", "0.3, 0.6"]) == 3
     assert capsys.readouterr().err == (
@@ -482,7 +494,8 @@ def test_overflowing_gene_exits_two_with_one_error_line(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: cannot normalize column 1: its mean or standard deviation overflows float64\n"
+        "error: cannot normalize gene 'B' of target: its mean or standard deviation overflows "
+        "float64\n"
     )
 
 
@@ -800,15 +813,16 @@ def test_command_normalizes_each_source_once(tmp_path, family_dir, monkeypatch, 
     fits = []
     fit = evaluate.fit_normalization
 
-    def counted(matrix):
-        fits.append(matrix.shape)
-        return fit(matrix)
+    def counted(dataset):
+        fits.append(dataset.name)
+        return fit(dataset)
 
     for module in (cli, evaluate):
         monkeypatch.setattr(module, "fit_normalization", counted)
     cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", k=3, epochs=1)
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
-    assert len(fits) == 2 + 3  # S = 2 sources, k = 3 folds
+    # S = 2 sources, then k = 3 folds of the target
+    assert fits == ["synth_source_0", "synth_source_1"] + ["synth_target"] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ def make_dataset(name="d", n=6, genes=("A", "B", "C"), seed=0, labels=None):
     return data.ExpressionDataset(name, tuple(genes), matrix, np.asarray(labels, dtype=float))
 
 
+def cohort(matrix, genes=None):
+    """A dataset named "m" over ``matrix``, for the matrix-level normalization tests."""
+    matrix = np.asarray(matrix, dtype=float)
+    genes = genes or tuple(f"G{j}" for j in range(matrix.shape[1]))
+    return data.ExpressionDataset("m", genes, matrix, np.zeros(matrix.shape[0]))
+
+
 # ---------------------------------------------------------------------------
 # expression TSV
 
@@ -325,7 +332,7 @@ def test_project_reorders_columns():
 def test_normalization_zero_mean_unit_std():
     rng = np.random.default_rng(8)
     matrix = rng.standard_normal((50, 7)) * 3.0 + 5.0
-    stats = data.fit_normalization(matrix)
+    stats = data.fit_normalization(cohort(matrix))
     normed = data.apply_normalization(matrix, stats)
     np.testing.assert_allclose(normed.mean(axis=0), np.zeros(7), atol=1e-12)
     np.testing.assert_allclose(normed.std(axis=0), np.ones(7), atol=1e-12)
@@ -333,7 +340,7 @@ def test_normalization_zero_mean_unit_std():
 
 def test_normalization_constant_column_maps_to_zero():
     matrix = np.column_stack([np.full(3, 5.0), np.array([1.0, 2.0, 3.0])])
-    stats = data.fit_normalization(matrix)
+    stats = data.fit_normalization(cohort(matrix))
     assert stats.std[0] == 1.0
     normed = data.apply_normalization(matrix, stats)
     np.testing.assert_array_equal(normed[:, 0], np.zeros(3))
@@ -342,15 +349,15 @@ def test_normalization_constant_column_maps_to_zero():
 def test_normalization_near_constant_column_not_amplified():
     # identical values whose mean rounds inexactly must not blow up to +-1
     matrix = np.column_stack([np.full(3, 0.1), np.array([1.0, 2.0, 3.0])])
-    stats = data.fit_normalization(matrix)
+    stats = data.fit_normalization(cohort(matrix))
     normed = data.apply_normalization(matrix, stats)
     assert np.max(np.abs(normed[:, 0])) < 1e-9
 
 
 def test_normalization_errors():
     with pytest.raises(ScaleError):
-        data.fit_normalization(np.empty((0, 3)))
-    stats = data.fit_normalization(np.ones((2, 3)) * np.arange(3))
+        data.fit_normalization(cohort(np.empty((0, 3))))
+    stats = data.fit_normalization(cohort(np.ones((2, 3)) * np.arange(3)))
     with pytest.raises(ScaleError):
         data.apply_normalization(np.ones((2, 4)), stats)
 
@@ -362,12 +369,12 @@ def test_normalization_errors():
 )
 def test_normalization_overflow_names_the_column_without_a_warning(column):
     # finite values near the float64 limit overflow the column sum or the
-    # sum of squared deviations
+    # sum of squared deviations; the error names the gene and the dataset
     matrix = np.column_stack([np.ones(4), column])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ScaleError, match="cannot normalize column 1: "):
-            data.fit_normalization(matrix)
+        with pytest.raises(ScaleError, match="cannot normalize gene 'B' of m: "):
+            data.fit_normalization(cohort(matrix, genes=("A", "B")))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -381,7 +388,7 @@ def test_normalization_stats_reject_non_finite_entries(field, bad):
 
 def test_apply_uses_training_statistics():
     train = np.array([[0.0], [2.0]])
-    stats = data.fit_normalization(train)
+    stats = data.fit_normalization(cohort(train))
     out = data.apply_normalization(np.array([[4.0]]), stats)
     np.testing.assert_allclose(out, [[3.0]])  # (4 - 1) / 1
 

@@ -9,7 +9,7 @@ import pytest
 
 from metagx import evaluate
 from metagx.data import ExpressionDataset, GeneInteractionSet
-from metagx.errors import DimensionError, MetricError
+from metagx.errors import DimensionError, MetricError, TrainingError
 from metagx.models import ModelConfig
 from metagx.training import MetaConfig
 
@@ -303,6 +303,37 @@ def test_lambda_sweep_peak_memory_does_not_grow_with_the_grid():
     three = peak_bytes((0.1, 0.5, 0.9))
     twelve = peak_bytes(tuple(i / 11 for i in range(12)))
     assert twelve <= 1.25 * three, (three, twelve)
+
+
+def test_sweep_names_the_first_weight_whose_own_run_diverges(monkeypatch):
+    # a diverging stacked block re-runs its weights in grid order, stops at the
+    # first whose own run diverges and names it; if none does, the stacked
+    # error stands unchanged
+    sources = [make_ds("s", 24, 5, seed=32)]
+    target = make_ds("t", 20, 5, seed=42)
+    trained, diverging = [], 0.5
+
+    def stacked(config, lams, sources, target_train):
+        raise TrainingError("non-finite source loss [nan nan nan] at step 1 (epoch 1)")
+
+    def single(config, sources, target_train):
+        trained.append(config.lam)
+        if config.lam == diverging:
+            raise TrainingError("non-finite source loss nan at step 1 (epoch 1)")
+        return None, None
+
+    monkeypatch.setattr(evaluate, "train_meta_stacked", stacked)
+    monkeypatch.setattr(evaluate, "train_meta", single)
+    with pytest.raises(TrainingError) as err:
+        evaluate.lambda_sweep(sources, target, small_config(), lambdas=(0.2, 0.5, 0.8), k=2)
+    assert str(err.value) == "non-finite source loss nan at step 1 (epoch 1) at lambda=0.5"
+    assert trained == [0.2, 0.5]
+    trained.clear()
+    diverging = None
+    with pytest.raises(TrainingError) as err:
+        evaluate.lambda_sweep(sources, target, small_config(), lambdas=(0.2, 0.5, 0.8), k=2)
+    assert str(err.value) == "non-finite source loss [nan nan nan] at step 1 (epoch 1)"
+    assert trained == [0.2, 0.5, 0.8]
 
 
 def test_lambda_sweep_validation_and_best():

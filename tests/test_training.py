@@ -94,7 +94,7 @@ def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch)
     grads = training._grads
 
     def poisoned(loss, leaves, weight=1.0):
-        # the last entry of the output weight's gradient, so the last slice when stacked
+        # the last entry of the output weight's gradient, in the last slice when stacked
         out = grads(loss, leaves, weight)
         g = out["output.weight"].copy()
         g.flat[-1] = np.nan
@@ -105,16 +105,20 @@ def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch)
     with pytest.raises(TrainingError) as err:
         training.inner_adapt(init, cfg, (ds.matrix, ds.labels), 0.01)
     assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
+    # stacked parameters take the same path and the same message
     stacked = {n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()}
     with pytest.raises(TrainingError) as err:
-        training.inner_adapt(
-            stacked, cfg, (ds.matrix, ds.labels), 0.01, lams=np.array([0.2, 0.7, 0.9])
-        )
-    assert str(err.value) == "non-finite gradient for parameter 'output.weight' at lambda=0.9"
+        training.inner_adapt(stacked, cfg, (ds.matrix, ds.labels), 0.01)
+    assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
+    grads = {n: np.zeros_like(a) for n, a in stacked.items()}
+    grads["output.weight"][-1] = np.inf
+    with pytest.raises(TrainingError) as err:
+        training.adam_step(stacked, grads, 0.01, training.AdamState())
+    assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
 
 
-def test_inner_adapt_takes_lams_by_keyword_only():
-    # a stale positional momentum must not be read as the stacked weights
+def test_inner_adapt_rejects_a_stale_positional_momentum():
+    # inner_adapt is plain SGD: a momentum passed as a fifth argument is an error
     cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
     ds = make_ds("t", 6, 4, seed=2)
     with pytest.raises(TypeError):
@@ -312,23 +316,6 @@ def test_train_meta_stacked_validates_inputs():
         training.train_meta_stacked(tiny_meta_config(), (0.5, 1.5), sources, target)
     with pytest.raises(ValueError, match="source"):
         training.train_meta_stacked(tiny_meta_config(), (0.5,), [], target)
-
-
-def test_stacked_divergence_names_the_first_diverging_slice():
-    cfg = ModelConfig("mlp", input_dim=6, hidden_dims=(5, 4))
-    lams = np.array([0.2, 0.7, 0.9])
-    init = init_model(cfg, seed=0)
-    arrays = {n: np.tile(a, (3,) + (1,) * a.ndim) for n, a in init.items()}
-    arrays["output.weight"][1:] = np.nan
-    ds = make_ds("t", 8, 6, seed=1)
-    with pytest.raises(TrainingError) as err:
-        training.inner_adapt(arrays, cfg, (ds.matrix, ds.labels), 0.01, lams=lams)
-    assert str(err.value) == "non-finite adaptation loss nan at lambda=0.7"
-    grads = {"w": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf]])}
-    params = {"w": np.zeros((3, 2))}
-    with pytest.raises(TrainingError) as err:
-        training.adam_step(params, grads, 0.01, training.AdamState(), lams)
-    assert str(err.value) == "non-finite gradient for parameter 'w' at lambda=0.9"
 
 
 def test_train_meta_validates_inputs():
