@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .data import (
     ExpressionDataset,
-    GeneInteractionSet,
     NormalizationStats,
     apply_normalization,
     fit_normalization,
@@ -94,12 +93,9 @@ class RunConfig:
     lam_given: bool = False
     arch_given: bool = False
 
-    def model_config(self, input_dim: int) -> ModelConfig:
-        model = {name: getattr(self, name) for name in SECTION_FIELDS["model"]}
-        return ModelConfig(input_dim=input_dim, **model)
-
     def meta_config(self, input_dim: int) -> MetaConfig:
-        model = self.model_config(input_dim)
+        settings = {name: getattr(self, name) for name in SECTION_FIELDS["model"]}
+        model = ModelConfig(input_dim=input_dim, **settings)
         # momentum never acts (each inner step starts from zero velocity), but
         # the key is still read, checked and written to config.ini
         if not 0.0 <= self.momentum < 1.0:
@@ -278,7 +274,7 @@ def _load_target(cfg: RunConfig) -> ExpressionDataset:
 
 def _load_inputs(
     cfg: RunConfig,
-) -> tuple[list[ExpressionDataset], ExpressionDataset, GeneInteractionSet | None]:
+) -> tuple[list[ExpressionDataset], ExpressionDataset, frozenset[str] | None]:
     target = _load_target(cfg)
     sources = [load_expression_tsv(p) for p in cfg.sources]
     inter = load_interactions_tsv(cfg.interactions) if cfg.interactions else None
@@ -425,6 +421,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"checkpoint holds a {model_cfg.architecture!r} model but the config "
             f"says {cfg.architecture!r}"
         )
+    # config.ini records the model that was explained, not the config's
+    cfg = replace(cfg, **{name: getattr(model_cfg, name) for name in SECTION_FIELDS["model"]})
     sidecar_path = checkpoint_path.parent / "preprocess.json"
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))

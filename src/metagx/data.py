@@ -3,7 +3,8 @@
 The on-disk expression format is a strict TSV: header row
 ``sample_id<TAB>gene...<TAB>label``, one sample per row, float expression
 values, labels exactly 0 or 1, UTF-8, Unix newlines. Interaction files list
-one gene pair per line (two tab-separated symbols, ``#`` starts a comment).
+one gene pair per line (two tab-separated symbols, ``#`` starts a comment);
+only the set of genes they name is kept.
 
 Gene selection, normalization, and fold construction are all deterministic
 pure functions so that a pipeline run is reproducible from its seed.
@@ -12,9 +13,9 @@ pure functions so that a pipeline run is reproducible from its seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,29 +83,6 @@ class ExpressionDataset:
     def with_matrix(self, matrix: Array) -> "ExpressionDataset":
         """Same samples and labels over a transformed matrix."""
         return ExpressionDataset(self.name, self.gene_ids, matrix, self.labels)
-
-
-@dataclass(frozen=True)
-class GeneInteractionSet:
-    """Undirected gene pairs; each pair is stored sorted."""
-
-    pairs: frozenset[tuple[str, str]]
-    genes: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        for p in self.pairs:
-            if len(p) != 2:
-                raise ValueError(f"interaction pair must have two genes, got {p!r}")
-        members = frozenset(g for p in self.pairs for g in p)
-        object.__setattr__(self, "pairs", frozenset(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "genes", members)
-
-    def __contains__(self, gene: str) -> bool:
-        return gene in self.genes
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -259,23 +237,23 @@ def write_expression_tsv(dataset: ExpressionDataset, path: Path | str) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def load_interactions_tsv(path: Path | str) -> GeneInteractionSet:
-    """Parse a gene-interaction TSV: two tab-separated symbols per line.
+def load_interactions_tsv(path: Path | str) -> frozenset[str]:
+    """Parse a gene-interaction TSV into the set of genes named in some pair.
 
-    Blank lines and lines starting with ``#`` are skipped; anything else with
-    a field count other than two is a ParseError naming the line.
+    Each line holds two tab-separated symbols. Blank lines and lines starting
+    with ``#`` are skipped; anything else with a field count other than two is
+    a ParseError naming the line.
     """
     path = Path(path)
-    pairs: set[tuple[str, str]] = set()
+    genes: set[str] = set()
     for i, line in enumerate(_read_lines(path, "interaction"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise ParseError(f"{path}:{i}: expected two tab-separated gene symbols")
-        pairs.add((fields[0].strip(), fields[1].strip()))
-    # the set sorts each pair, so A-B and B-A are one pair
-    return GeneInteractionSet(frozenset(pairs))
+        genes.update(f.strip() for f in fields)
+    return frozenset(genes)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +277,7 @@ def select_common_genes(datasets: Sequence[ExpressionDataset]) -> tuple[str, ...
 
 
 def filter_by_interactions(
-    genes: Sequence[str], interactions: GeneInteractionSet
+    genes: Sequence[str], interactions: frozenset[str]
 ) -> tuple[str, ...]:
     """Keep genes that appear in at least one interaction pair, order preserved."""
     kept = tuple(g for g in genes if g in interactions)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .data import (
     ExpressionDataset,
-    GeneInteractionSet,
     apply_normalization,
     filter_by_interactions,
     fit_normalization,
@@ -254,7 +253,7 @@ def _nan_mean(values: Sequence[float]) -> float:
 def shared_genes(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
-    interactions: GeneInteractionSet | None = None,
+    interactions: frozenset[str] | None = None,
 ) -> tuple[str, ...]:
     """Genes shared by every dataset and, when given, in some interaction pair."""
     genes = select_common_genes([*sources, target])
@@ -264,7 +263,7 @@ def shared_genes(
 def prepare_cohorts(
     sources: Sequence[ExpressionDataset],
     target: ExpressionDataset,
-    interactions: GeneInteractionSet | None = None,
+    interactions: frozenset[str] | None = None,
 ) -> tuple[tuple[str, ...], list[ExpressionDataset], ExpressionDataset]:
     """Put every cohort on ``shared_genes``: ``(genes, sources, target)``.
 
@@ -297,7 +296,7 @@ def _folds(
     target: ExpressionDataset,
     config: MetaConfig,
     k: int,
-    interactions: GeneInteractionSet | None,
+    interactions: frozenset[str] | None,
 ) -> Iterator[_Fold]:
     """Prepare the cohorts once, then yield each stratified fold.
 
@@ -339,7 +338,7 @@ def cross_validate(
     config: MetaConfig,
     trainer: str = "meta",
     k: int = 10,
-    interactions: GeneInteractionSet | None = None,
+    interactions: frozenset[str] | None = None,
 ) -> CvResult:
     """Stratified k-fold evaluation of one trainer on the target cohort.
 
@@ -399,7 +398,7 @@ def lambda_sweep(
     config: MetaConfig,
     lambdas: Sequence[float],
     k: int = 10,
-    interactions: GeneInteractionSet | None = None,
+    interactions: frozenset[str] | None = None,
 ) -> list[SweepPoint]:
     """Cross-validate the meta trainer at each mixing weight.
 

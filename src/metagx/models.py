@@ -58,7 +58,6 @@ class ModelConfig:
     conv_layers: int = 2
     embed_dim: int = 32
     tokens: int = 16
-    attention_layers: int = 1
     leaky_slope: float = 0.01
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class ModelConfig:
             raise ValueError(f"conv_padding must be >= 0, got {self.conv_padding}")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if self.attention_layers != 1:
-            raise ValueError("only a single self-attention layer is supported")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValueError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         if self.architecture == "cnn":
@@ -340,6 +337,9 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
     try:
         raw = doc["config"]
         raw["hidden_dims"] = tuple(raw["hidden_dims"])
+        # checkpoints of older releases record the one supported attention layer
+        if raw.pop("attention_layers", 1) != 1:
+            raise CheckpointError(f"checkpoint {path} holds more than one attention layer")
         config = ModelConfig(**raw)
         arrays = {}
         for name in doc["param_order"]:
@@ -364,4 +364,6 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
                 f"checkpoint {path} parameter {name!r} has shape {arr.shape}, "
                 f"the config needs {expected[name]}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint {path} parameter {name!r} has non-finite values")
     return arrays, config

@@ -108,7 +108,7 @@ class TrainLogRecord:
     loss_target: float
     loss_source: float | None
     loss_meta: float | None
-    stage: str = "train"
+    stage: str
 
 
 class TrainLog:
@@ -116,19 +116,6 @@ class TrainLog:
 
     def __init__(self):
         self.records: list[TrainLogRecord] = []
-
-    def append(
-        self,
-        step: int,
-        epoch: int,
-        loss_target: float,
-        loss_source: float | None = None,
-        loss_meta: float | None = None,
-        stage: str = "train",
-    ) -> None:
-        self.records.append(
-            TrainLogRecord(step, epoch, loss_target, loss_source, loss_meta, stage)
-        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -320,7 +307,7 @@ def _train_loop(
                 ls_v = sum(values[1:], values[0]) * (1.0 / len(sources))
                 lm_v = lt_v * lam + ls_v * (1.0 - lam)
             params = outer_step(params, grads, adam, config.outer_lr)
-            log.append(step, epoch, lt_v, ls_v, lm_v, stage)
+            log.records.append(TrainLogRecord(step, epoch, lt_v, ls_v, lm_v, stage))
             if on_step is not None:
                 on_step(step, params)
     return params

@@ -20,7 +20,6 @@ from metagx.autodiff import Tensor
 from metagx.cli import main
 from metagx.data import (
     ExpressionDataset,
-    GeneInteractionSet,
     apply_normalization,
     fit_normalization,
     project,
@@ -343,8 +342,7 @@ def test_feature_selection_pipeline():
     shared = select_common_genes([cohort_a, cohort_b, target])
     assert shared == ("GB", "GC", "GD")
 
-    pairs = GeneInteractionSet(pairs=(("GB", "GC"), ("GX", "GY")))
-    kept = filter_by_interactions(shared, pairs)
+    kept = filter_by_interactions(shared, frozenset({"GB", "GC", "GX", "GY"}))
     ok_list = kept == ("GB", "GC")
 
     projected = project(target, kept)

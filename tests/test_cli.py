@@ -259,9 +259,7 @@ def test_run_config_defaults_match_the_model_and_meta_defaults(arch):
     run = replace(RunConfig(), architecture=arch)
     assert run.meta_config(30) == MetaConfig(model=ModelConfig(arch, 30))
     model_fields = [f.name for f in fields(ModelConfig)]
-    assert list(SECTION_FIELDS["model"]) == [
-        name for name in model_fields if name not in ("input_dim", "attention_layers")
-    ]
+    assert list(SECTION_FIELDS["model"]) == [name for name in model_fields if name != "input_dim"]
 
 
 def test_effective_config_bytes(tmp_path):
@@ -1089,3 +1087,38 @@ def test_explain_checkpoint_with_wrong_param_shape_exits_two(
     )
     assert code == 2
     assert "hidden.0.bias" in capsys.readouterr().err
+
+
+def test_explain_config_records_the_checkpoint_model(tmp_path, family_dir):
+    train_cfg = write_config(
+        tmp_path / "train.ini", family_dir, arch="cnn", model_line="channels = 4\n"
+    )
+    trained = tmp_path / "trained"
+    assert main(["train", "--config", str(train_cfg), "--out", str(trained)]) == 0
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(f"[data]\ntarget = {family_dir / 'synth_target.tsv'}\n", encoding="utf-8")
+    out = tmp_path / "explain"
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(cfg_file),
+            "--out",
+            str(out),
+            "--checkpoint",
+            str(trained / "checkpoint.json"),
+            "--samples",
+            "1",
+            "--permutations",
+            "5",
+        ]
+    )
+    assert code == 0
+
+    def model_section(path):
+        text = path.read_text(encoding="utf-8")
+        return text[text.index("[model]") : text.index("[training]")]
+
+    explained = model_section(out / "config.ini")
+    assert "architecture = cnn\n" in explained and "channels = 4\n" in explained
+    assert explained == model_section(trained / "config.ini")

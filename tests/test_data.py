@@ -214,10 +214,7 @@ def test_dataset_validation():
 def test_interactions_parse_comments_and_blanks(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("# header comment\nA\tB\n\nB\tC\nC\tA\n", encoding="utf-8")
-    inter = data.load_interactions_tsv(path)
-    assert inter.n_pairs == 3
-    assert inter.genes == {"A", "B", "C"}
-    assert ("A", "B") in inter.pairs  # stored sorted regardless of file order
+    assert data.load_interactions_tsv(path) == {"A", "B", "C"}
 
 
 def test_interactions_pair_order_is_canonical(tmp_path):
@@ -228,11 +225,10 @@ def test_interactions_pair_order_is_canonical(tmp_path):
     assert data.load_interactions_tsv(p1) == data.load_interactions_tsv(p2)
 
 
-def test_interactions_repeated_and_reversed_pairs_are_one_pair(tmp_path):
+def test_interactions_repeated_and_reversed_pairs_name_two_genes(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("A\tB\nB\tA\nB\tA\n", encoding="utf-8")
-    inter = data.load_interactions_tsv(path)
-    assert inter.pairs == frozenset({("A", "B")}) and inter.n_pairs == 1
+    assert data.load_interactions_tsv(path) == frozenset({"A", "B"})
 
 
 def test_interactions_rejects_wrong_field_count(tmp_path):
@@ -272,11 +268,10 @@ def write_lines(tmp_path_factory, lines):
 
 @settings(deadline=None)
 @given(drawn=interaction_lines())
-def test_interactions_load_back_as_sorted_pairs(tmp_path_factory, drawn):
+def test_interactions_load_back_as_the_named_genes(tmp_path_factory, drawn):
     pairs, lines = drawn
-    inter = data.load_interactions_tsv(write_lines(tmp_path_factory, lines))
-    assert inter.pairs == {tuple(sorted(p)) for p in pairs}
-    assert inter.genes == {g for p in pairs for g in p}
+    genes = data.load_interactions_tsv(write_lines(tmp_path_factory, lines))
+    assert genes == {g for p in pairs for g in p}
 
 
 @settings(deadline=None)
@@ -308,7 +303,7 @@ def test_select_common_genes_empty_intersection_raises():
 
 
 def test_filter_by_interactions_keeps_members_only():
-    inter = data.GeneInteractionSet(frozenset({("A", "B"), ("C", "C")}))
+    inter = frozenset({"A", "B", "C"})
     assert data.filter_by_interactions(("A", "B", "C", "D"), inter) == ("A", "B", "C")
     with pytest.raises(SelectionError):
         data.filter_by_interactions(("X", "Y"), inter)

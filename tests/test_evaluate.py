@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from metagx import evaluate
-from metagx.data import ExpressionDataset, GeneInteractionSet
+from metagx.data import ExpressionDataset
 from metagx.errors import DimensionError, MetricError, TrainingError
 from metagx.models import ModelConfig
 from metagx.training import MetaConfig
@@ -212,7 +212,7 @@ def test_cross_validate_gene_selection_and_interactions():
     source = ExpressionDataset(
         "s", s_genes, rng.standard_normal((20, 5)), (rng.random(20) < 0.5).astype(float)
     )
-    inter = GeneInteractionSet(frozenset({("B", "D")}))
+    inter = frozenset({"B", "D"})
     cfg = small_config()
     cv = evaluate.cross_validate(
         [source], target, cfg, trainer="meta", k=2, interactions=inter

@@ -46,8 +46,6 @@ def test_config_validation():
         models.ModelConfig("transformer", input_dim=4, tokens=8)
     with pytest.raises(ValueError):
         models.ModelConfig("cnn", input_dim=2, kernel_size=9, conv_padding=0)
-    with pytest.raises(ValueError):
-        models.ModelConfig("mlp", input_dim=4, attention_layers=2)
 
 
 @pytest.mark.parametrize("arch", models.ARCHITECTURES)
@@ -280,6 +278,22 @@ def test_checkpoint_round_trip_exact(tmp_path, arch):
         np.testing.assert_array_equal(loaded[name], arr)
 
 
+def test_checkpoint_with_the_old_attention_layers_key_still_loads(tmp_path):
+    # checkpoints of older releases record "attention_layers": 1
+    cfg = tiny_config("transformer")
+    params = models.init_model(cfg, seed=13)
+    path = tmp_path / "model.json"
+    models.save_checkpoint(path, params, cfg)
+    doc = json.loads(path.read_text())
+    doc["config"]["attention_layers"] = 1
+    path.write_text(json.dumps(doc, sort_keys=True))
+    loaded, loaded_cfg = models.load_checkpoint(path)
+    assert loaded_cfg == cfg
+    assert tuple(loaded) == tuple(params)
+    for name, arr in params.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = tiny_config("mlp")
     params = models.init_model(cfg, seed=14)
@@ -326,6 +340,13 @@ def _set_param(doc, name, arr):
         doc["param_order"].append(name)
 
 
+def _poke_param(doc, name, value):
+    entry = doc["params"][name]
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    arr[0] = value
+    _set_param(doc, name, arr.reshape(entry["shape"]))
+
+
 def _drop_param(doc, name):
     del doc["params"][name]
     doc["param_order"].remove(name)
@@ -341,6 +362,9 @@ BAD_PARAMS = {
     "extra": (lambda d: _set_param(d, "hidden.9.bias", np.zeros(3)), "hidden.9.bias"),
     # checked from the config alone, without allocating the model it describes
     "huge_input_dim": (lambda d: d["config"].update(input_dim=10**12), "shape"),
+    "nan_weight": (lambda d: _poke_param(d, "output.weight", np.nan), "'output.weight'.*finite"),
+    "inf_bias": (lambda d: _poke_param(d, "hidden.1.bias", -np.inf), "'hidden.1.bias'.*finite"),
+    "attention_layers_2": (lambda d: d["config"].update(attention_layers=2), "attention layer"),
 }
 
 

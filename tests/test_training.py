@@ -361,8 +361,8 @@ def test_meta_config_validation():
 
 def test_train_log_csv_format(tmp_path):
     log = training.TrainLog()
-    log.append(1, 1, 0.5, 0.25, 0.375)
-    log.append(2, 1, 0.4, stage="pretrain")
+    log.records.append(training.TrainLogRecord(1, 1, 0.5, 0.25, 0.375, "train"))
+    log.records.append(training.TrainLogRecord(2, 1, 0.4, None, None, "pretrain"))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     lines = path.read_text().splitlines()
