@@ -435,17 +435,23 @@ def _im2col(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int):
 
 def _conv_grads(g: Array, cols: Array, w2: Array, w_shape, xp_shape, stride, padding, tx, tw):
     """conv1d's input and weight gradients from the output gradient ``g``;
-    None for an untracked operand. ``w2`` is the weight as [out, in*width]."""
+    None for an untracked operand. ``w2`` is the weight as [out, in*width].
+
+    Both run one batch row at a time: the weight gradient sums the rows'
+    [out, in*width] products, and each row's column gradient is folded back
+    into the padded input before the next is formed.
+    """
     gx = gw = None
     if tw:
-        gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w_shape)
+        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
     if tx:
-        nb, _, out_len = g.shape
+        out_len = g.shape[2]
         _, c_in, width = w_shape
-        gcols = (w2.T @ g).reshape(nb, c_in, width, out_len)
         gxp = np.zeros(xp_shape)
-        for k in range(width):
-            gxp[:, :, k : k + stride * out_len : stride] += gcols[:, :, k]
+        for gxp_row, g_row in zip(gxp, g):
+            gcols = (w2.T @ g_row).reshape(c_in, width, out_len)
+            for k in range(width):
+                gxp_row[:, k : k + stride * out_len : stride] += gcols[:, k]
         gx = gxp[:, :, padding : xp_shape[2] - padding] if padding else gxp
     return gx, gw
 
@@ -481,16 +487,22 @@ def _check_pool(size: int, stride: int, length: int) -> None:
         raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
 
 
-def _pool(x3: Array, size: int, stride: int) -> tuple[Array, Array]:
-    """Window maxima of ``x3`` along its last axis and each maximum's offset
-    in its window, in the smallest integer dtype that holds ``size - 1``."""
+def _pool(x3: Array, size: int, stride: int, with_arg: bool = True):
+    """Window maxima of ``x3`` along its last axis and, if ``with_arg``, each
+    maximum's offset in its window (the first on ties), in the smallest
+    integer dtype that holds ``size - 1``; else None."""
     # one strided slice per window offset k holds element k of every window
     span = (x3.shape[2] - size) // stride * stride + 1
     out = x3[:, :, 0:span:stride].copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(size - 1))
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(size - 1)) if with_arg else None
+    took = np.empty(out.shape, dtype=bool) if with_arg else None
     for k in range(1, size):
         cand = x3[:, :, k : k + span : stride]
-        np.copyto(arg, k, where=cand > out)
+        if with_arg:
+            # k exceeds every offset taken so far, so the maximum sets it
+            # exactly where cand beats the running maximum
+            np.greater(cand, out, out=took)
+            np.maximum(arg, took * arg.dtype.type(k), out=arg)
         np.maximum(out, cand, out=out)
     return out, arg
 
@@ -529,9 +541,12 @@ def conv_block(
     pool_stride)`` as one node, bitwise equal to that chain in values and
     gradients, with the same argument checks.
 
-    The VJP keeps the im2col columns, the weight, a bool mask of the negative
-    conv outputs and the pool's small-integer argmax; no float array of the
-    conv output's size outlives the call.
+    The leaky-relu and the VJP's slope scaling run one batch row at a time in
+    place, so neither makes a temporary of the conv output's size. The VJP
+    keeps the im2col columns, the weight, a bool mask of the negative conv
+    outputs and the pool's small-integer argmax; no float array of the conv
+    output's size outlives the call. Without a tape neither the mask nor the
+    argmax is built.
     """
     x, w = _lift(x), _lift(w)
     w_shape = w.data.shape
@@ -541,19 +556,32 @@ def conv_block(
     _check_pool(pool_size, pool_stride, cols.shape[2])
     w2 = w.data.reshape(w_shape[0], -1)
     z = w2 @ cols
-    # ~(z >= 0) marks where the chain's leaky-relu factor is the slope, NaN
-    # included; max(z, z * slope) is z * factor bit for bit
-    neg = ~(z >= 0)
-    a = z * slope
-    np.maximum(z, a, out=a)
-    conv_shape = z.shape
-    del z  # freed before the pool allocates its outputs
-    out, arg = _pool(a, pool_size, pool_stride)
     tx, tw = x.node is not None, w.node is not None
+    taped = tx or tw
+    if taped:
+        # ~(z >= 0) marks where the chain's leaky-relu factor is the slope,
+        # NaN included
+        neg = z >= 0
+        np.logical_not(neg, out=neg)
+    # max(z, z * slope) is z * factor bit for bit
+    buf = np.empty(z.shape[1:])
+    for row in z:
+        np.multiply(row, slope, out=buf)
+        np.maximum(row, buf, out=row)
+    out, arg = _pool(z, pool_size, pool_stride, with_arg=taped)
+    if not taped:
+        return Tensor(out)
+    conv_shape = z.shape
 
     def vjp(g):
         ga = _unpool(g, arg, pool_stride, conv_shape)
-        np.multiply(ga, slope, out=ga, where=neg)
+        # the factor is slope where neg and 1.0 elsewhere, so ga * factor is
+        # the chain's product bit for bit
+        factor = np.empty(conv_shape[1:])
+        for ga_row, neg_row in zip(ga, neg):
+            np.multiply(neg_row, slope, out=factor)
+            factor += ~neg_row
+            ga_row *= factor
         return _conv_grads(ga, cols, w2, w_shape, xp_shape, stride, padding, tx, tw)
 
     return _record((x, w), out, vjp)

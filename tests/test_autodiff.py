@@ -508,6 +508,104 @@ def test_conv_block_argument_checks_name_the_chain_ops():
         ad.conv_block(ad.Tensor(np.ones((2, 3, 2))), w, **{**kw, "padding": 0})
 
 
+def conv_block_loop_oracle(x, w, stride, padding, slope, pool_size, pool_stride, g):
+    """conv_block's output and the gradients of sum(out * g), by plain loops:
+    conv1d_loop_oracle's conv, a loop leaky-relu and a pool loop that routes
+    each window's gradient to its first maximum. Shares no code with autodiff."""
+    nb, c_out = x.shape[0], w.shape[0]
+    conv_len = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
+    z, _, _ = conv1d_loop_oracle(x, w, stride, padding, np.zeros((nb, c_out, conv_len)))
+    n_out = (conv_len - pool_size) // pool_stride + 1
+    out = np.zeros((nb, c_out, n_out))
+    gz = np.zeros_like(z)
+    for b in range(nb):
+        for o in range(c_out):
+            act = [v if v >= 0 else slope * v for v in z[b, o]]
+            for j in range(n_out):
+                best = j * pool_stride
+                for i in range(best + 1, best + pool_size):
+                    if act[i] > act[best]:
+                        best = i
+                out[b, o, j] = act[best]
+                gz[b, o, best] += g[b, o, j] * (1.0 if z[b, o, best] >= 0 else slope)
+    _, gx, gw = conv1d_loop_oracle(x, w, stride, padding, gz)
+    return out, gx, gw
+
+
+@pytest.mark.parametrize("values", ["normal", "ties"])
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding,pool_size,pool_stride",
+    [
+        ((1, 3, 9), (2, 3, 3), 1, 1, 3, 1),  # batch of one, overlapping windows
+        ((2, 1, 14), (4, 1, 3), 1, 1, 2, 2),  # the model's first-layer layout
+        ((2, 3, 17), (2, 3, 2), 3, 0, 2, 1),  # conv stride > width, overlapping windows
+        ((2, 2, 6), (3, 2, 3), 2, 4, 4, 3),  # padding >= width, pool stride < size
+    ],
+)
+def test_conv_block_matches_loop_oracle(
+    x_shape, w_shape, stride, padding, pool_size, pool_stride, values
+):
+    rng = np.random.default_rng(sum(x_shape) + pool_size + len(values))
+    if values == "normal":
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    else:
+        palette = _BLOCK_VALUES[:-1]  # tied conv outputs, exact zeros and -0.0
+        x, w = rng.choice(palette, size=x_shape), rng.choice(palette, size=w_shape)
+    conv_len = (x_shape[-1] + 2 * padding - w_shape[2]) // stride + 1
+    g = rng.standard_normal((x_shape[0], w_shape[0], (conv_len - pool_size) // pool_stride + 1))
+    kw = dict(stride=stride, padding=padding, slope=0.2)
+    want = conv_block_loop_oracle(x, w, **kw, pool_size=pool_size, pool_stride=pool_stride, g=g)
+    _, got = _block_values_and_grads(
+        ad.conv_block, x, w, g, **kw, pool_size=pool_size, pool_stride=pool_stride
+    )
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def pool_loop_reference(x, size, stride):
+    """Window maxima and offsets by a plain loop over windows: the offset is
+    the first maximum before the window's first NaN, and a window holding NaN
+    has a NaN maximum."""
+    nb, nc, length = x.shape
+    n_out = (length - size) // stride + 1
+    out = np.empty((nb, nc, n_out))
+    arg = np.empty((nb, nc, n_out), dtype=np.int64)
+    for b in range(nb):
+        for c in range(nc):
+            for j in range(n_out):
+                window = list(x[b, c, j * stride : j * stride + size])
+                nans = [k for k, v in enumerate(window) if v != v]
+                head = window[: nans[0]] if nans else window
+                arg[b, c, j] = head.index(max(head)) if head else 0
+                out[b, c, j] = np.nan if nans else max(head)
+    return out, arg
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 12)),
+    size=st.integers(1, 4),
+    stride=st.integers(1, 4),
+    values=st.sampled_from(["normal", "ties", "nan"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_offsets_are_the_first_maximum_of_each_window(shape, size, stride, values, seed):
+    assume(shape[2] >= size)
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        x = rng.standard_normal(shape)
+    else:
+        x = rng.choice(_BLOCK_VALUES if values == "nan" else _BLOCK_VALUES[:-1], size=shape)
+    out, arg = ad._pool(x, size, stride)
+    want_out, want_arg = pool_loop_reference(x, size, stride)
+    assert arg.dtype == np.uint8
+    np.testing.assert_array_equal(arg, want_arg)
+    np.testing.assert_array_equal(out, want_out)
+    # the maxima alone, as a tape-free conv_block takes them, are the same bits
+    free, none = ad._pool(x, size, stride, with_arg=False)
+    assert none is None and free.tobytes() == out.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 
