@@ -18,6 +18,7 @@ import json
 import re
 import sys
 import typing
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .evaluate import (
 from .explain import attribution_to_csv, rank_features, ranking_to_csv, shapley_sampled
 from .models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate_task_family
-from .training import MetaConfig
+from .training import MetaConfig, trainlog_to_csv
 # re-exported: perfbench's TrainClock wraps the trainers on this module as well
 from .training import train_meta, train_plain, train_transfer  # noqa: F401
 
@@ -66,28 +67,28 @@ class RunConfig:
     interactions: Path | None = None
 
     architecture: str = "mlp"
-    hidden_dims: tuple[int, ...] = (128, 64)
-    channels: int = 32
-    kernel_size: int = 3
-    conv_stride: int = 1
-    conv_padding: int = 1
-    pool_size: int = 2
-    pool_stride: int = 2
-    conv_layers: int = 2
-    embed_dim: int = 32
-    tokens: int = 16
-    leaky_slope: float = 0.01
+    hidden_dims: tuple[int, ...] = ModelConfig.hidden_dims
+    channels: int = ModelConfig.channels
+    kernel_size: int = ModelConfig.kernel_size
+    conv_stride: int = ModelConfig.conv_stride
+    conv_padding: int = ModelConfig.conv_padding
+    pool_size: int = ModelConfig.pool_size
+    pool_stride: int = ModelConfig.pool_stride
+    conv_layers: int = ModelConfig.conv_layers
+    embed_dim: int = ModelConfig.embed_dim
+    tokens: int = ModelConfig.tokens
+    leaky_slope: float = ModelConfig.leaky_slope
 
-    alpha: float = 4e-4
+    alpha: float = MetaConfig.alpha
     momentum: float = 0.2
-    beta: float = 4e-4
-    lam: float = 0.5
-    epochs: int = 40
-    batch_size: int = 32
+    beta: float = MetaConfig.beta
+    lam: float = MetaConfig.lam
+    epochs: int = MetaConfig.epochs
+    batch_size: int = MetaConfig.batch_size
 
     trainer: str = "meta"
     k: int = 10
-    seed: int = 0
+    seed: int = MetaConfig.seed
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     out: Path = Path("metagx-out")
     lam_given: bool = False
@@ -100,16 +101,9 @@ class RunConfig:
         # the key is still read, checked and written to config.ini
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        values = {field: getattr(self, name) for field, name in _META_FIELDS.items()}
-        with _user_names({field: _ini_key(name) for field, name in _META_FIELDS.items()}):
+        values = {f.name: getattr(self, f.name) for f in fields(MetaConfig) if f.name != "model"}
+        with _user_names({"lam": _ini_key("lam")}):
             return MetaConfig(model=model, **values)
-
-
-# MetaConfig field -> the RunConfig field that sets it
-_META_FIELDS = {
-    "inner_lr": "alpha", "outer_lr": "beta", "lam": "lam",
-    "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
-}
 
 
 @contextlib.contextmanager
@@ -129,20 +123,7 @@ def _user_names(names: dict[str, str]):
 # except ``lam``, whose key is ``lambda``.
 SECTION_FIELDS = {
     "data": ("sources", "target", "interactions"),
-    "model": (
-        "architecture",
-        "hidden_dims",
-        "channels",
-        "kernel_size",
-        "conv_stride",
-        "conv_padding",
-        "pool_size",
-        "pool_stride",
-        "conv_layers",
-        "embed_dim",
-        "tokens",
-        "leaky_slope",
-    ),
+    "model": tuple(f.name for f in fields(ModelConfig) if f.name != "input_dim"),
     "training": ("alpha", "momentum", "beta", "lam", "epochs", "batch_size"),
     "run": ("trainer", "k", "seed", "lambdas"),
 }
@@ -335,7 +316,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, log = train(cfg.trainer, meta_cfg, norm_sources, target_n)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.json", params, meta_cfg.model)
-    log.to_csv(out / "trainlog.csv")
+    trainlog_to_csv(log, out / "trainlog.csv")
     sidecar = {
         "genes": list(genes),
         "normalization": {
@@ -349,7 +330,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8"
     )
     write_effective_config(cfg, out / "config.ini")
-    final = log.records[-1]
+    final = log[-1]
     print(
         f"train[{cfg.trainer}]: {len(log)} steps, final loss {final.loss_target!r} "
         f"-> {out / 'checkpoint.json'}"
@@ -479,9 +460,7 @@ _SYNTH_FLAGS = {
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    values = {
-        field: getattr(args, flag[2:].replace("-", "_")) for field, flag in _SYNTH_FLAGS.items()
-    }
+    values = {field: getattr(args, field) for field in _SYNTH_FLAGS}
     with _user_names(_SYNTH_FLAGS):
         spec = SynthSpec(**values, seed=cfg.seed)
     sources, target = generate_task_family(spec)
@@ -558,17 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic task family")
-    p.add_argument("--sources", type=int, default=3)
-    p.add_argument("--source-samples", type=int, default=200)
-    p.add_argument("--target-samples", type=int, default=60)
-    p.add_argument("--features", type=int, default=50)
-    p.add_argument("--signal-dims", type=int, default=10)
-    p.add_argument("--perturbation", type=float, default=0.3)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--balance", type=float, default=0.5)
+    for field, flag in _SYNTH_FLAGS.items():
+        default = getattr(SynthSpec, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
     return parser
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning:`` line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -577,7 +556,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -109,38 +109,6 @@ class NormalizationStats:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """A k-fold partition of sample indices 0..n-1."""
-
-    n_samples: int
-    folds: tuple[Array, ...]
-
-    def __post_init__(self):
-        folds = tuple(_frozen_int(f) for f in self.folds)
-        together = np.concatenate(folds) if folds else np.empty(0, dtype=np.intp)
-        if sorted(together.tolist()) != list(range(self.n_samples)):
-            raise ValueError("folds must partition range(n_samples)")
-        object.__setattr__(self, "folds", folds)
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    def test_indices(self, fold: int) -> Array:
-        return self.folds[fold]
-
-    def train_indices(self, fold: int) -> Array:
-        rest = [f for i, f in enumerate(self.folds) if i != fold]
-        return np.sort(np.concatenate(rest))
-
-
-def _frozen_int(arr) -> Array:
-    out = np.array(arr, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -343,8 +311,8 @@ def apply_normalization(matrix: Array, stats: NormalizationStats) -> Array:
 # folds and batches
 
 
-def stratified_kfold(labels: Array, k: int, seed: int) -> FoldSplit:
-    """Deterministic stratified k-fold split.
+def stratified_kfold(labels: Array, k: int, seed: int) -> tuple[Array, ...]:
+    """Deterministic stratified k-fold split: the k folds' sorted test indices.
 
     Each class is shuffled with the seed and dealt into folds so that every
     fold's class count is within one of exact proportion and total fold sizes
@@ -378,8 +346,7 @@ def stratified_kfold(labels: Array, k: int, seed: int) -> FoldSplit:
             buckets[j].extend(members[start : start + take].tolist())
             start += take
         offset = (offset + rem) % k
-    folds = tuple(np.sort(np.asarray(b, dtype=np.intp)) for b in buckets)
-    return FoldSplit(n, folds)
+    return tuple(np.sort(np.asarray(b, dtype=np.intp)) for b in buckets)
 
 
 def sample_batch(

@@ -33,7 +33,7 @@ from .errors import DimensionError, MetricError, TrainingError
 from .models import ModelParams, predict
 from .training import (
     MetaConfig,
-    TrainLog,
+    TrainLogRecord,
     train_meta,
     train_meta_stacked,
     train_plain,
@@ -69,17 +69,12 @@ class Confusion:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Confusion):
     """Confusion counts plus macro-averaged summary metrics for one score set.
 
     ``pr_auc`` is NaN when undefined (no positive labels to rank).
     """
 
-    n_samples: int
-    tp: int
-    fp: int
-    tn: int
-    fn: int
     accuracy: float
     precision: float
     recall: float
@@ -201,16 +196,7 @@ def classification_metrics(
     except MetricError:
         auc = math.nan
     return MetricsReport(
-        n_samples=c.n_samples,
-        tp=c.tp,
-        fp=c.fp,
-        tn=c.tn,
-        fn=c.fn,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        pr_auc=auc,
+        **vars(c), accuracy=accuracy, precision=precision, recall=recall, f1=f1, pr_auc=auc
     )
 
 
@@ -223,7 +209,7 @@ def train(
     config: MetaConfig,
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
-) -> tuple[ModelParams, TrainLog]:
+) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Run the named trainer with its default stage lengths.
 
     The trainers are looked up as module attributes at call time, so a
@@ -306,11 +292,9 @@ def _folds(
     """
     genes, norm_sources, target_p = prepare_cohorts(sources, target, interactions)
     model = replace(config.model, input_dim=len(genes))
-    split = stratified_kfold(target_p.labels, k, seed=config.seed)
-    for fold in range(split.k):
-        train_idx = split.train_indices(fold)
-        test_idx = split.test_indices(fold)
-        train_ds = target_p.take(train_idx)
+    folds = stratified_kfold(target_p.labels, k, seed=config.seed)
+    for fold, test_idx in enumerate(folds):
+        train_ds = target_p.take(np.sort(np.concatenate(folds[:fold] + folds[fold + 1 :])))
         stats = fit_normalization(train_ds)
         yield _Fold(
             config=replace(config, model=model, seed=_fold_seed(config.seed, fold)),
@@ -443,15 +427,8 @@ def lambda_sweep(
     points = []
     for lam, per_fold in zip(lambdas, reports):
         cv = _cv_result(per_fold)
-        f1s = np.array([r.f1 for r in cv.per_fold])
-        points.append(
-            SweepPoint(
-                lam=lam,
-                f1_mean=float(f1s.mean()),
-                f1_std=float(f1s.std()),
-                cv=cv,
-            )
-        )
+        f1_std = float(np.std([r.f1 for r in per_fold]))
+        points.append(SweepPoint(lam=lam, f1_mean=cv.mean_f1, f1_std=f1_std, cv=cv))
     return points
 
 

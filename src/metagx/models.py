@@ -344,7 +344,7 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
         arrays = {}
         for name in doc["param_order"]:
             entry = doc["params"][name]
-            buf = base64.b64decode(entry["data"].encode("ascii"))
+            buf = base64.b64decode(entry["data"])
             arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(
                 entry["shape"]
             )

@@ -61,20 +61,21 @@ _STREAM_SOURCE = 2
 class MetaConfig:
     """Optimization hyperparameters around one ModelConfig.
 
-    ``lam`` weighs the target loss against the mean adapted-source loss in
-    the combined objective; 1 ignores the sources, 0 ignores the target.
+    ``alpha`` is the inner (adaptation) learning rate and ``beta`` the outer
+    (Adam) one. ``lam`` weighs the target loss against the mean adapted-source
+    loss in the combined objective; 1 ignores the sources, 0 ignores the target.
     """
 
     model: ModelConfig
-    inner_lr: float = 4e-4
-    outer_lr: float = 4e-4
+    alpha: float = 4e-4
+    beta: float = 4e-4
     lam: float = 0.5
     epochs: int = 40
     batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("inner_lr", "outer_lr"):
+        for name in ("alpha", "beta"):
             rate = getattr(self, name)
             if not (np.isfinite(rate) and rate > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {rate}")
@@ -103,6 +104,8 @@ _ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainLogRecord:
+    """One training step's losses; ``stage`` names the training stage."""
+
     step: int
     epoch: int
     loss_target: float
@@ -111,23 +114,14 @@ class TrainLogRecord:
     stage: str
 
 
-class TrainLog:
-    """Per-step loss history; each record names its training stage."""
-
-    def __init__(self):
-        self.records: list[TrainLogRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def to_csv(self, path: Path | str) -> None:
-        """Write ``step,epoch,loss_target,loss_source,loss_meta,stage`` rows."""
-        lines = ["step,epoch,loss_target,loss_source,loss_meta,stage"]
-        for r in self.records:
-            src = "" if r.loss_source is None else repr(r.loss_source)
-            meta = "" if r.loss_meta is None else repr(r.loss_meta)
-            lines.append(f"{r.step},{r.epoch},{repr(r.loss_target)},{src},{meta},{r.stage}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def trainlog_to_csv(records: Sequence[TrainLogRecord], path: Path | str) -> None:
+    """Write ``step,epoch,loss_target,loss_source,loss_meta,stage`` rows."""
+    lines = ["step,epoch,loss_target,loss_source,loss_meta,stage"]
+    for r in records:
+        src = "" if r.loss_source is None else repr(r.loss_source)
+        meta = "" if r.loss_meta is None else repr(r.loss_meta)
+        lines.append(f"{r.step},{r.epoch},{repr(r.loss_target)},{src},{meta},{r.stage}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def _train_loop(
     params: ModelParams,
     dataset: ExpressionDataset,
     stage: str,
-    log: TrainLog,
+    log: list[TrainLogRecord],
     on_step: OnStep | None,
     sources: Sequence[ExpressionDataset] = (),
     lams: Array | None = None,
@@ -264,8 +258,8 @@ def _train_loop(
 
     Batches come from the stage's sub-stream of the run seed. Without
     sources each step minimizes the batch loss; with sources it minimizes the
-    meta loss, adding the adapted-source terms. Steps are numbered on from the
-    records already in ``log``.
+    meta loss, adding the adapted-source terms. Each step appends one record
+    to ``log``, numbered on from the records already there.
 
     With ``lams``, a [Λ] vector of mixing weights that replaces
     ``config.lam``, the parameters are stacked one slice per weight, every
@@ -293,7 +287,7 @@ def _train_loop(
                 values = []
                 for src in sources:
                     src_batch = sample_batch(src.matrix, src.labels, config.batch_size, source_rng)
-                    fast = inner_adapt(params, config.model, src_batch, config.inner_lr)
+                    fast = inner_adapt(params, config.model, src_batch, config.alpha)
                     loss, leaves = _batch_loss(fast, config.model, src_batch)
                     values.append(_value(loss))
                     _check_finite(
@@ -306,8 +300,8 @@ def _train_loop(
                         grads[name] = grads[name] + g
                 ls_v = sum(values[1:], values[0]) * (1.0 / len(sources))
                 lm_v = lt_v * lam + ls_v * (1.0 - lam)
-            params = outer_step(params, grads, adam, config.outer_lr)
-            log.records.append(TrainLogRecord(step, epoch, lt_v, ls_v, lm_v, stage))
+            params = outer_step(params, grads, adam, config.beta)
+            log.append(TrainLogRecord(step, epoch, lt_v, ls_v, lm_v, stage))
             if on_step is not None:
                 on_step(step, params)
     return params
@@ -318,7 +312,7 @@ def train_meta(
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
     on_step: OnStep | None = None,
-) -> tuple[ModelParams, TrainLog]:
+) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Meta-train across sources and a target training split.
 
     Steps follow the target batch schedule: epochs x ceil(n / batch_size).
@@ -329,7 +323,7 @@ def train_meta(
     if not sources:
         raise ValueError("train_meta requires at least one source dataset")
     _check_inputs(config, [*sources, target_train])
-    log = TrainLog()
+    log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
     params = _train_loop(config, params, target_train, "train", log, on_step, sources)
     return params, log
@@ -363,17 +357,17 @@ def train_meta_stacked(
     init = init_model(config.model, config.seed)
     params = {n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()}
     vec = np.array(lams, dtype=np.float64)
-    return _train_loop(config, params, target_train, "train", TrainLog(), None, sources, vec)
+    return _train_loop(config, params, target_train, "train", [], None, sources, vec)
 
 
 def train_plain(
     config: MetaConfig,
     target_train: ExpressionDataset,
     on_step: OnStep | None = None,
-) -> tuple[ModelParams, TrainLog]:
+) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Adam training on the target split alone (no sources, no inner loop)."""
     _check_inputs(config, [target_train])
-    log = TrainLog()
+    log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
     params = _train_loop(config, params, target_train, "train", log, on_step)
     return params, log
@@ -396,7 +390,7 @@ def train_transfer(
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
     on_step: OnStep | None = None,
-) -> tuple[ModelParams, TrainLog]:
+) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Pretrain on pooled sources, then fine-tune on the target split.
 
     Both stages run ``config.epochs`` plain Adam passes; the fine-tune stage
@@ -406,7 +400,7 @@ def train_transfer(
     if not sources:
         raise ValueError("train_transfer requires at least one source dataset")
     _check_inputs(config, [*sources, target_train])
-    log = TrainLog()
+    log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
     params = _train_loop(config, params, _pool_sources(sources), "pretrain", log, on_step)
     params = _train_loop(config, params, target_train, "finetune", log, on_step)

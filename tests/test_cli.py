@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -392,7 +393,6 @@ def test_non_finite_learning_rate_exits_two(
     cfg_file = write_config(tmp_path / "run.ini", family_dir, trainer="meta", **{key: value})
     code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
-    # the message names the key the user typed, not the MetaConfig field
     err = capsys.readouterr().err
     assert err == f"error: {key} must be finite and > 0, got {value}\n"
     assert field not in err
@@ -411,7 +411,7 @@ def test_non_finite_learning_rate_exits_two(
 def test_bad_training_setting_exits_two_naming_the_key(
     tmp_path, family_dir, capsys, key, value, want
 ):
-    # MetaConfig names its own fields (inner_lr, lam, ...); the error names the key typed
+    # MetaConfig names its mixing weight lam; the error names the key typed
     flags, overrides = [], {}
     if key.startswith("--"):
         flags = [key, value]
@@ -732,6 +732,21 @@ def test_evaluate_deterministic(tmp_path, config_path):
     assert main(["evaluate", "--config", str(config_path), "--out", str(out_a)]) == 0
     assert main(["evaluate", "--config", str(config_path), "--out", str(out_b)]) == 0
     assert (out_a / "cv_plain.csv").read_bytes() == (out_b / "cv_plain.csv").read_bytes()
+
+
+def test_evaluate_rare_class_warns_in_one_line(tmp_path, family_dir, capsys):
+    rare = tmp_path / "rare"
+    rare.mkdir()
+    for name in ("synth_source_0.tsv", "synth_source_1.tsv"):
+        shutil.copy(family_dir / name, rare / name)
+    header, *rows = (family_dir / "synth_target.tsv").read_text(encoding="utf-8").splitlines()
+    kept = [r for r in rows if r.endswith("\t0")] + [r for r in rows if r.endswith("\t1")][:1]
+    (rare / "synth_target.tsv").write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    cfg_file = write_config(tmp_path / "run.ini", rare, k=3)
+    assert main(["evaluate", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: class 1 has 1 members for 3 folds; some folds will not contain it\n"
+    )
 
 
 def test_sweep_writes_csv_and_best(tmp_path, config_path, capsys):

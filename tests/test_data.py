@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metagx import data
+from metagx import data, evaluate
 from metagx.errors import ParseError, ScaleError, SelectionError, SplitError
+from metagx.models import ModelConfig
+from metagx.training import MetaConfig
 
 
 def make_dataset(name="d", n=6, genes=("A", "B", "C"), seed=0, labels=None):
@@ -396,10 +398,10 @@ def test_stratified_kfold_rare_class_spreads_with_warning():
     labels = np.zeros(95)
     labels[:8] = 1.0
     with pytest.warns(UserWarning, match="class 1 has 8 members"):
-        split = data.stratified_kfold(labels, k=10, seed=0)
-    sizes = sorted(len(f) for f in split.folds)
+        folds = data.stratified_kfold(labels, k=10, seed=0)
+    sizes = sorted(len(f) for f in folds)
     assert set(sizes) <= {9, 10}
-    positives = [int(labels[f].sum()) for f in split.folds]
+    positives = [int(labels[f].sum()) for f in folds]
     assert max(positives) - min(positives) <= 1
     assert sum(positives) == 8
 
@@ -412,13 +414,13 @@ def test_stratified_kfold_partition_and_proportions(seed, k):
     labels = (rng.random(n) < 0.4).astype(float)
     if min((labels == 0).sum(), (labels == 1).sum()) < k:
         labels[: 2 * k] = np.tile([0.0, 1.0], k)
-    split = data.stratified_kfold(labels, k=k, seed=seed)
-    joined = np.sort(np.concatenate(split.folds))
+    folds = data.stratified_kfold(labels, k=k, seed=seed)
+    joined = np.sort(np.concatenate(folds))
     np.testing.assert_array_equal(joined, np.arange(n))
-    sizes = [len(f) for f in split.folds]
+    sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 1
     for cls in (0.0, 1.0):
-        per_fold = [int((labels[f] == cls).sum()) for f in split.folds]
+        per_fold = [int((labels[f] == cls).sum()) for f in folds]
         exact = (labels == cls).sum() / k
         assert all(abs(c - exact) < 1.0 + 1e-12 for c in per_fold)
 
@@ -428,19 +430,38 @@ def test_stratified_kfold_deterministic_and_seed_sensitive():
     a = data.stratified_kfold(labels, k=5, seed=7)
     b = data.stratified_kfold(labels, k=5, seed=7)
     c = data.stratified_kfold(labels, k=5, seed=8)
-    for fa, fb in zip(a.folds, b.folds):
+    for fa, fb in zip(a, b):
         np.testing.assert_array_equal(fa, fb)
-    assert any(not np.array_equal(fa, fc) for fa, fc in zip(a.folds, c.folds))
+    assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
 
-def test_stratified_kfold_train_test_disjoint():
-    labels = np.tile([0.0, 1.0], 15)
-    split = data.stratified_kfold(labels, k=3, seed=1)
-    for i in range(split.k):
-        train = set(split.train_indices(i).tolist())
-        test = set(split.test_indices(i).tolist())
-        assert not train & test
-        assert train | test == set(range(30))
+def test_stratified_kfold_train_test_disjoint(monkeypatch):
+    # each training side cross-validation builds is the rest of the target:
+    # record the rows evaluate._folds takes, and check every fold against them
+    target = make_dataset("t", n=30, seed=1, labels=np.tile([0.0, 0.0, 1.0], 10))
+    source = make_dataset("s", n=8, seed=2, labels=np.tile([0.0, 1.0], 4))
+    config = MetaConfig(model=ModelConfig("mlp", input_dim=3), seed=1)
+    taken = []
+    real_take = data.ExpressionDataset.take
+
+    def take(dataset, indices):
+        taken.append(np.asarray(indices))
+        return real_take(dataset, indices)
+
+    monkeypatch.setattr(data.ExpressionDataset, "take", take)
+    folds = list(evaluate._folds([source], target, config, 3, None))
+    tests = data.stratified_kfold(target.labels, k=3, seed=config.seed)
+    assert len(folds) == len(taken) == 3
+    for fold, train_idx, test_idx in zip(folds, taken, tests):
+        assert not set(train_idx.tolist()) & set(test_idx.tolist())
+        assert set(train_idx.tolist()) | set(test_idx.tolist()) == set(range(30))
+        assert fold.train.n_samples + len(fold.test_labels) == 30
+        np.testing.assert_array_equal(fold.train.labels, target.labels[train_idx])
+        np.testing.assert_array_equal(fold.test_labels, target.labels[test_idx])
+        stats = data.fit_normalization(real_take(target, train_idx))
+        np.testing.assert_array_equal(
+            fold.test_matrix, data.apply_normalization(target.matrix[test_idx], stats)
+        )
 
 
 @st.composite
@@ -453,26 +474,26 @@ def fold_problems(draw):
 def split_and_warnings(labels, k, seed):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        split = data.stratified_kfold(labels, k=k, seed=seed)
-    return split, [str(w.message) for w in caught]
+        folds = data.stratified_kfold(labels, k=k, seed=seed)
+    return folds, [str(w.message) for w in caught]
 
 
 @settings(deadline=None)
 @given(problem=fold_problems())
 def test_stratified_kfold_properties(problem):
     labels, k, seed = problem
-    split, messages = split_and_warnings(labels, k, seed)
+    folds, messages = split_and_warnings(labels, k, seed)
     again, _ = split_and_warnings(labels, k, seed)
     # every index lands in exactly one test fold
-    hits = np.bincount(np.concatenate(split.folds), minlength=len(labels))
+    hits = np.bincount(np.concatenate(folds), minlength=len(labels))
     np.testing.assert_array_equal(hits, np.ones(len(labels)))
-    sizes = [len(f) for f in split.folds]
+    sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 1
     classes, counts = np.unique(labels, return_counts=True)
     for cls in classes:
-        per_fold = [int((labels[f] == cls).sum()) for f in split.folds]
+        per_fold = [int((labels[f] == cls).sum()) for f in folds]
         assert max(per_fold) - min(per_fold) <= 1
-    for fa, fb in zip(split.folds, again.folds):
+    for fa, fb in zip(folds, again):
         np.testing.assert_array_equal(fa, fb)
     rare = [int(c) for c, n_c in zip(classes, counts) if n_c < k]
     assert [m.split(" has ")[0] for m in messages] == [f"class {c}" for c in rare]

@@ -257,6 +257,16 @@ def test_lambda_sweep_endpoint_matches_plain():
     assert points[0].f1_std == pytest.approx(float(f1s.std()), abs=1e-12)
 
 
+def test_lambda_sweep_endpoint_mean_f1_matches_plain_at_ten_folds():
+    # from 8 values on np.mean sums pairwise, in another order than mean_f1's
+    sources = [make_ds(f"s{i}", 24, 5, seed=30 + i) for i in range(2)]
+    target = make_ds("t", 40, 5, seed=4)
+    cfg = small_config()
+    (point,) = evaluate.lambda_sweep(sources, target, cfg, lambdas=(1.0,), k=10)
+    plain = evaluate.cross_validate([], target, cfg, trainer="plain", k=10)
+    assert point.f1_mean == plain.mean_f1
+
+
 @pytest.mark.parametrize("arch", ["mlp", "cnn", "transformer"])
 def test_lambda_sweep_equals_per_lambda_cross_validation(arch):
     # four weights: one stacked MLP block of three, then a block of one

@@ -365,6 +365,8 @@ BAD_PARAMS = {
     "nan_weight": (lambda d: _poke_param(d, "output.weight", np.nan), "'output.weight'.*finite"),
     "inf_bias": (lambda d: _poke_param(d, "hidden.1.bias", -np.inf), "'hidden.1.bias'.*finite"),
     "attention_layers_2": (lambda d: d["config"].update(attention_layers=2), "attention layer"),
+    "data_null": (lambda d: d["params"]["output.weight"].update(data=None), "malformed"),
+    "data_number": (lambda d: d["params"]["output.weight"].update(data=5), "malformed"),
 }
 
 

@@ -163,9 +163,9 @@ def test_first_step_source_loss_is_the_mean_of_recomputed_adapted_losses():
     losses = []
     for src in sources:
         x, y = sample_batch(src.matrix, src.labels, cfg.batch_size, rng)
-        fast = training.inner_adapt(params, cfg.model, (x, y), cfg.inner_lr)
+        fast = training.inner_adapt(params, cfg.model, (x, y), cfg.alpha)
         losses.append(ad.bce_loss(ad.Tensor(predict(fast, cfg.model, x)), ad.Tensor(y)).item())
-    assert log.records[0].loss_source == pytest.approx(sum(losses) / 3, abs=1e-12)
+    assert log[0].loss_source == pytest.approx(sum(losses) / 3, abs=1e-12)
     # the step's source batches differ, so the mean is not one source's loss
     assert len(set(losses)) == 3
 
@@ -178,7 +178,7 @@ def test_lambda_zero_ignores_the_target_batches():
     other = ExpressionDataset("u", first.gene_ids, -2.0 * first.matrix + 1.0, 1.0 - first.labels)
     p1, log1 = training.train_meta(cfg, sources, first)
     p2, log2 = training.train_meta(cfg, sources, other)
-    assert [r.loss_target for r in log1.records] != [r.loss_target for r in log2.records]
+    assert [r.loss_target for r in log1] != [r.loss_target for r in log2]
     for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
 
@@ -212,8 +212,8 @@ def test_train_plain_runs_and_logs():
     target = make_ds("t", 20, 6, seed=7)
     params, log = training.train_plain(cfg, target)
     assert len(log) == 3 * 3  # ceil(20/7) = 3 batches per epoch
-    assert all(r.loss_source is None and r.loss_meta is None for r in log.records)
-    assert all(np.isfinite(r.loss_target) for r in log.records)
+    assert all(r.loss_source is None and r.loss_meta is None for r in log)
+    assert all(np.isfinite(r.loss_target) for r in log)
     assert tuple(params) == tuple(init_model(cfg.model, 0))
 
 
@@ -233,7 +233,7 @@ def test_train_meta_lambda_one_equals_plain():
     for pm, pp in zip(meta_snaps, plain_snaps):
         for name in pm:
             np.testing.assert_array_equal(pm[name], pp[name])
-    for rm, rp in zip(log_meta.records, log_plain.records):
+    for rm, rp in zip(log_meta, log_plain):
         assert rm.loss_target == rp.loss_target
 
 
@@ -245,7 +245,7 @@ def test_train_meta_deterministic_and_seed_sensitive():
     p2, log2 = training.train_meta(cfg, sources, target)
     for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
-    assert [r.loss_meta for r in log1.records] == [r.loss_meta for r in log2.records]
+    assert [r.loss_meta for r in log1] == [r.loss_meta for r in log2]
 
     cfg2 = tiny_meta_config(lam=0.5, epochs=2, batch_size=6, seed=12)
     p3, _ = training.train_meta(cfg2, sources, target)
@@ -288,7 +288,7 @@ def test_cnn_artifacts_through_conv_block_equal_the_unfused_chain(monkeypatch, t
 
     def artifacts(tag):
         params, log = training.train_meta(cfg, sources, target)
-        log.to_csv(tmp_path / f"trainlog_{tag}.csv")
+        training.trainlog_to_csv(log, tmp_path / f"trainlog_{tag}.csv")
         cv = cross_validate(sources, target, cfg, trainer="meta", k=3)
         cv_to_csv(cv, tmp_path / f"cv_{tag}.csv")
         files = [tmp_path / f"{kind}_{tag}.csv" for kind in ("trainlog", "cv")]
@@ -334,11 +334,11 @@ def test_train_transfer_stages_and_plain_equivalence():
     target = make_ds("t", 12, 6, seed=90)
 
     p_tr, log_tr = training.train_transfer(cfg, sources, target)
-    stages = [r.stage for r in log_tr.records]
+    stages = [r.stage for r in log_tr]
     # pretraining sees 30 pooled samples: 2 epochs x 5 batches, then 2 x 2
     assert stages == ["pretrain"] * 10 + ["finetune"] * 4
-    assert [r.step for r in log_tr.records] == list(range(1, 15))
-    assert log_tr.records[10].epoch == 1  # fine-tuning counts its own epochs
+    assert [r.step for r in log_tr] == list(range(1, 15))
+    assert log_tr[10].epoch == 1  # fine-tuning counts its own epochs
 
     p_plain, _ = training.train_plain(cfg, target)
     # pretraining must actually change the outcome
@@ -350,21 +350,22 @@ def test_meta_config_validation():
     with pytest.raises(ValueError):
         training.MetaConfig(model=model, lam=1.5)
     with pytest.raises(ValueError):
-        training.MetaConfig(model=model, inner_lr=0.0)
-    with pytest.raises(ValueError, match="inner_lr must be finite"):
-        training.MetaConfig(model=model, inner_lr=float("nan"))
-    with pytest.raises(ValueError, match="outer_lr must be finite"):
-        training.MetaConfig(model=model, outer_lr=float("inf"))
+        training.MetaConfig(model=model, alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        training.MetaConfig(model=model, alpha=float("nan"))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        training.MetaConfig(model=model, beta=float("inf"))
     with pytest.raises(ValueError):
         training.MetaConfig(model=model, epochs=0)
 
 
 def test_train_log_csv_format(tmp_path):
-    log = training.TrainLog()
-    log.records.append(training.TrainLogRecord(1, 1, 0.5, 0.25, 0.375, "train"))
-    log.records.append(training.TrainLogRecord(2, 1, 0.4, None, None, "pretrain"))
+    log = [
+        training.TrainLogRecord(1, 1, 0.5, 0.25, 0.375, "train"),
+        training.TrainLogRecord(2, 1, 0.4, None, None, "pretrain"),
+    ]
     path = tmp_path / "log.csv"
-    log.to_csv(path)
+    training.trainlog_to_csv(log, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,epoch,loss_target,loss_source,loss_meta,stage"
     assert lines[1] == "1,1,0.5,0.25,0.375,train"
