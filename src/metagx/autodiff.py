@@ -33,6 +33,7 @@ __all__ = [
     "mean",
     "reduce_sum",
     "leaky_relu",
+    "dense_block",
     "sigmoid_head",
     "softmax",
     "conv1d",
@@ -248,6 +249,36 @@ def matmul(a, b) -> Tensor:
     return _record((a, b), adata @ bdata, lambda g: _matmul_grads(g, adata, bdata, ta, tb))
 
 
+def _linear_operands(x, w, b):
+    """Lift and check ``linear``'s operands; returns the parents, the input,
+    the weight as [..., in, out] and the bias as a [..., 1, out] row, or None
+    without a bias."""
+    parents = [_lift(t) for t in ((x, w) if b is None else (x, w, b))]
+    xdata, wdata = parents[0].data, parents[1].data
+    _check_matmul("linear", xdata, wdata, b_stored_t=True)
+    brow = None
+    if b is not None:
+        bshape = parents[2].data.shape
+        if bshape != wdata.shape[:-1]:
+            raise DimensionError(
+                f"linear bias must be shaped {wdata.shape[:-1]} for weight {wdata.shape}, "
+                f"got {bshape}"
+            )
+        brow = parents[2].data[..., None, :]
+    return parents, xdata, np.swapaxes(wdata, -1, -2), brow
+
+
+def _linear_grads(g: Array, xdata: Array, wt: Array, brow: Array | None, tracked) -> list:
+    """Gradients of ``xdata @ wt (+ brow)`` for ``linear``'s tracked operands,
+    None for the others."""
+    grads = _matmul_grads(g, xdata, wt, tracked[0], tracked[1])
+    if tracked[1]:
+        grads[1] = np.swapaxes(grads[1], -1, -2)
+    if brow is not None:
+        grads.append(_unbroadcast(g, brow.shape).squeeze(-2) if tracked[2] else None)
+    return grads
+
+
 def linear(x, w, b=None) -> Tensor:
     """``x @ w^T (+ b)`` with ``w`` stored [..., out, in], batch dims broadcast, as
     one node bitwise equal to the transpose/matmul/add chain it replaces.
@@ -257,32 +288,10 @@ def linear(x, w, b=None) -> Tensor:
     shared [B, in] or a stacked [Λ, B, in] input to [Λ, B, out], each slice
     bitwise equal to the 2-D call on that slice's parameters.
     """
-    parents = [_lift(t) for t in ((x, w) if b is None else (x, w, b))]
-    xdata, wdata = parents[0].data, parents[1].data
-    _check_matmul("linear", xdata, wdata, b_stored_t=True)
-    wt = np.swapaxes(wdata, -1, -2)
-    if b is None:
-        out = xdata @ wt
-    else:
-        bshape = parents[2].data.shape
-        if bshape != wdata.shape[:-1]:
-            raise DimensionError(
-                f"linear bias must be shaped {wdata.shape[:-1]} for weight {wdata.shape}, "
-                f"got {bshape}"
-            )
-        brow = np.expand_dims(parents[2].data, -2)
-        out = xdata @ wt + brow
+    parents, xdata, wt, brow = _linear_operands(x, w, b)
+    out = xdata @ wt if brow is None else xdata @ wt + brow
     tracked = [p.node is not None for p in parents]
-
-    def vjp(g):
-        grads = _matmul_grads(g, xdata, wt, tracked[0], tracked[1])
-        if tracked[1]:
-            grads[1] = np.swapaxes(grads[1], -1, -2)
-        if len(tracked) == 3:
-            grads.append(_unbroadcast(g, brow.shape).reshape(bshape) if tracked[2] else None)
-        return grads
-
-    return _record(parents, out, vjp)
+    return _record(parents, out, lambda g: _linear_grads(g, xdata, wt, brow, tracked))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -340,6 +349,42 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     out = x * slope
     np.maximum(x, out, out=out)
     return _record((a,), out, lambda g: (g * np.where(x >= 0, 1.0, slope),))
+
+
+def dense_block(x, w, b, slope: float) -> Tensor:
+    """``leaky_relu(linear(x, w, b), slope)`` as one node, bitwise equal to that
+    chain in values and gradients, with the same argument checks; stacked
+    [Λ] parameters work as in ``linear``.
+
+    The leaky-relu runs in place on the affine output. The VJP keeps a bool
+    mask of the outputs whose chain factor is the slope, built only when an
+    operand is on a tape, instead of a float factor array.
+    """
+    parents, xdata, wt, brow = _linear_operands(x, w, b)
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+    z = xdata @ wt
+    z += brow
+    tracked = [p.node is not None for p in parents]
+    taped = any(tracked)
+    if taped:
+        # ~(z >= 0) marks where the chain's leaky-relu factor is the slope,
+        # NaN included
+        neg = z >= 0
+        np.logical_not(neg, out=neg)
+    np.maximum(z, z * slope, out=z)
+    if not taped:
+        return Tensor(z)
+
+    def vjp(g):
+        # the factor is slope where neg and 1.0 elsewhere, so factor * g is
+        # the chain's product bit for bit
+        gz = np.multiply(neg, slope)
+        gz += ~neg
+        gz *= g
+        return _linear_grads(gz, xdata, wt, brow, tracked)
+
+    return _record(parents, z, vjp)
 
 
 def _sigmoid_values(x: Array) -> Array:

@@ -38,6 +38,7 @@ from .data import (
 )
 from .errors import ConfigError, MetagxError, TrainingError
 from .evaluate import (
+    DEFAULT_K,
     TRAINERS,
     best_lambda,
     cross_validate,
@@ -87,7 +88,7 @@ class RunConfig:
     batch_size: int = MetaConfig.batch_size
 
     trainer: str = "meta"
-    k: int = 10
+    k: int = DEFAULT_K
     seed: int = MetaConfig.seed
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     out: Path = Path("metagx-out")

@@ -44,6 +44,9 @@ Array = np.ndarray
 
 TRAINERS = ("plain", "transfer", "meta")
 
+# the fold count of cross-validation and the sweep, and of the CLI's ``--k``
+DEFAULT_K = 10
+
 # Most mixing weights a sweep trains as one stacked MLP. Stacking multiplies
 # every parameter-sized array by the block size: the parameters, the Adam
 # moments, the gradient maps and the adapted copy. On the family-d50-mlp
@@ -321,7 +324,7 @@ def cross_validate(
     target: ExpressionDataset,
     config: MetaConfig,
     trainer: str = "meta",
-    k: int = 10,
+    k: int = DEFAULT_K,
     interactions: frozenset[str] | None = None,
 ) -> CvResult:
     """Stratified k-fold evaluation of one trainer on the target cohort.
@@ -381,7 +384,7 @@ def lambda_sweep(
     target: ExpressionDataset,
     config: MetaConfig,
     lambdas: Sequence[float],
-    k: int = 10,
+    k: int = DEFAULT_K,
     interactions: frozenset[str] | None = None,
 ) -> list[SweepPoint]:
     """Cross-validate the meta trainer at each mixing weight.

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import autodiff as ad
 from .models import ModelConfig, ModelParams, forward_mlp_tail, predict
 
 Array = np.ndarray
@@ -159,7 +159,8 @@ def _mlp_values(params: ModelParams, config: ModelConfig, base: Array, sample: A
     """MLP path: the first layer is affine, so the arrival of feature f adds
     ``(sample[f] - base[f]) * W0[:, f]`` to the pre-activations. Row j of a
     permutation is the base row's pre-activations plus a cumsum of its first
-    j arrivals' steps; only the layers after the first run per row."""
+    j arrivals' steps; only the first layer's leaky-relu and the layers after
+    it run per row."""
     w = params["hidden.0.weight"]
     base_pre = base[None, :] @ w.T + params["hidden.0.bias"]
     # [d, hidden], C order so that a permutation gathers whole rows
@@ -171,7 +172,8 @@ def _mlp_values(params: ModelParams, config: ModelConfig, base: Array, sample: A
         pre[:, 0] = 0.0
         np.cumsum(steps[perms], axis=1, out=pre[:, 1:])
         pre += base_pre
-        out = forward_mlp_tail(params, config, Tensor(pre.reshape(c * (d + 1), -1)))
+        h = ad.leaky_relu(pre.reshape(c * (d + 1), -1), config.leaky_slope)
+        out = forward_mlp_tail(params, config, h)
         return out.data.reshape(c, d + 1)
 
     return values

@@ -2,10 +2,10 @@
 
 Three architectures share one interface: a named parameter set, a forward
 function mapping an [n, d] batch to per-sample probabilities, and a common
-initializer. Every dense layer is one ``autodiff.linear`` op, and every model
-ends in ``autodiff.sigmoid_head``, a sigmoid clipped to [1e-7, 1 - 1e-7], so
-downstream losses and attributions always see probabilities strictly inside
-(0, 1).
+initializer. Each MLP hidden layer is one ``autodiff.dense_block`` op (affine
+then leaky-relu), and every model ends in ``autodiff.sigmoid_head``, a
+sigmoid clipped to [1e-7, 1 - 1e-7], so downstream losses and attributions
+always see probabilities strictly inside (0, 1).
 
 The input batch is data: no gradient is ever taken with respect to it. It
 enters as a constant, the CNN and transformer shape it with numpy, and only
@@ -208,24 +208,25 @@ def _require(tensors: Mapping[str, Tensor], name: str) -> Tensor:
     return tensors[name]
 
 
+def _hidden_layer(tensors: Mapping[str, Tensor], config: ModelConfig, i: int, h: Tensor) -> Tensor:
+    """Hidden layer ``i`` (affine, then leaky-relu) as one ``dense_block`` node."""
+    w = _require(tensors, f"hidden.{i}.weight")
+    b = _require(tensors, f"hidden.{i}.bias")
+    return ad.dense_block(h, w, b, config.leaky_slope)
+
+
 def forward_mlp(tensors: Mapping[str, Tensor], config: ModelConfig, batch: Tensor) -> Tensor:
-    """Fully connected stack: affine + leaky-relu per hidden layer, sigmoid head."""
+    """Fully connected stack: one ``dense_block`` node (affine, leaky-relu) per
+    hidden layer, sigmoid head."""
     _check_batch(config, batch)
-    w = _require(tensors, "hidden.0.weight")
-    b = _require(tensors, "hidden.0.bias")
-    return forward_mlp_tail(tensors, config, ad.linear(batch, w, b))
+    return forward_mlp_tail(tensors, config, _hidden_layer(tensors, config, 0, batch))
 
 
-def forward_mlp_tail(
-    tensors: Mapping[str, Tensor], config: ModelConfig, pre: Tensor
-) -> Tensor:
-    """The MLP after its first affine layer: from the [n, hidden_dims[0]]
-    pre-activations through leaky-relu, hidden layers 1.. and the head."""
-    h = ad.leaky_relu(pre, config.leaky_slope)
+def forward_mlp_tail(tensors: Mapping[str, Tensor], config: ModelConfig, h: Tensor) -> Tensor:
+    """The MLP after its first hidden layer: from that layer's [n,
+    hidden_dims[0]] activations through hidden layers 1.. and the head."""
     for i in range(1, len(config.hidden_dims)):
-        w = _require(tensors, f"hidden.{i}.weight")
-        b = _require(tensors, f"hidden.{i}.bias")
-        h = ad.leaky_relu(ad.linear(h, w, b), config.leaky_slope)
+        h = _hidden_layer(tensors, config, i, h)
     return ad.sigmoid_head(h, _require(tensors, "output.weight"))
 
 

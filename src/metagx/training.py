@@ -36,6 +36,7 @@ names the diverging weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -89,7 +90,8 @@ class MetaConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """First/second moment accumulators, which ``adam_step`` updates in place,
+    and the shared step counter."""
 
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -130,23 +132,31 @@ def trainlog_to_csv(records: Sequence[TrainLogRecord], path: Path | str) -> None
 
 def _check_finite(values, describe: Callable[[object], str]) -> None:
     """Raise TrainingError(describe(values)) unless every value is finite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise TrainingError(describe(values))
 
 
 def _check_grads(grads: dict[str, Array]) -> None:
     """Raise TrainingError naming the first parameter with a non-finite gradient."""
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
 
 def adam_step(
     params: ModelParams, grads: dict[str, Array], lr: float, state: AdamState
 ) -> ModelParams:
-    """One bias-corrected Adam step; ``state`` is updated in place."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    """One bias-corrected Adam step; ``state`` is updated in place.
+
+    The moments are updated in place, from zeros on the first step, and each
+    new parameter is one fresh array: ``params`` and ``grads`` are never
+    written, so parameters returned by earlier steps stay as they were. The
+    expressions and their order are those of the out-of-place recurrence
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p - lr*(m/bc1) / (sqrt(v/bc2) + eps)``, bit for bit.
+    """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     _check_grads(grads)
     state.t += 1
     bc1 = 1.0 - _BETA1**state.t
@@ -154,13 +164,29 @@ def adam_step(
     new = {}
     for name, arr in params.items():
         g = grads[name]
-        m = state.m.get(name, 0.0)
-        v = state.v.get(name, 0.0)
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        new[name] = arr - lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        # the moments and the scratch array take the gradient's memory layout
+        # (a weight's is transposed), so that these passes run contiguously
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        # one scratch array holds (1-b1)*g, then (1-b2)*g*g, then the denominator
+        tmp = np.multiply(g, 1.0 - _BETA1)
+        m *= _BETA1
+        m += tmp
+        np.multiply(g, 1.0 - _BETA2, out=tmp)
+        tmp *= g
+        v *= _BETA2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += _ADAM_EPS
+        step = m / bc1
+        step *= lr
+        step /= tmp
+        # the new parameter keeps the old one's layout, as p - step does: a
+        # transposed weight would take another BLAS path and change the bits
+        new[name] = np.subtract(arr, step, out=np.empty_like(arr))
     return new
 
 
@@ -201,7 +227,15 @@ def inner_adapt(
     _check_finite(_value(loss), lambda v: f"non-finite adaptation loss {v}")
     grads = _grads(loss, leaves, np.ones_like(loss.data))
     _check_grads(grads)
-    return {n: a - alpha * grads[n] for n, a in params.items()}
+    # -alpha*g + a is a - alpha*g bit for bit, with one temporary. Only that
+    # fresh product is written (a leaf's gradient may be a read-only view),
+    # and it takes a's memory layout, as a - alpha*g does: a transposed weight
+    # would take another BLAS path in the adapted forward and change its bits
+    adapted = {}
+    for n, a in params.items():
+        adapted[n] = np.multiply(grads[n], -alpha, out=np.empty_like(a))
+        adapted[n] += a
+    return adapted
 
 
 def outer_step(

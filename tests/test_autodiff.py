@@ -360,6 +360,133 @@ def test_stacked_ops_equal_per_slice_calls_bitwise(batch, d):
             assert grads[name][i].tobytes() == want.tobytes(), (i, name)
 
 
+def unfused_dense_block(x, w, b, slope):
+    """The linear -> leaky_relu chain that dense_block replaced."""
+    return ad.leaky_relu(ad.linear(x, w, b), slope)
+
+
+def _dense_values_and_grads(op, x, w, b, g, slope, watch_x):
+    """The nodes ``op`` records, and its values and gradients of sum(out * g);
+    the gradient of a constant ``x`` is None."""
+    tape = ad.Tape()
+    xt = tape.watch(x) if watch_x else ad.Tensor(x)
+    wt, bt = tape.watch(w), tape.watch(b)
+    out = op(xt, wt, bt, slope)
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    gx = grads[xt.node] if watch_x else None
+    return out.node - bt.node, (out.data, gx, grads[wt.node], grads[bt.node])
+
+
+# input, weight and bias shapes: an MLP layer, the stacked first layer on a
+# shared batch, and a stacked later layer
+_DENSE_SHAPES = {
+    "2d": ((64, 300), (128, 300), (128,)),
+    "stacked": ((32, 50), (3, 128, 50), (3, 128)),
+    "stacked-input": ((3, 32, 128), (3, 64, 128), (3, 64)),
+}
+
+
+def _dense_inputs(shapes, values, rng):
+    """x, w, b and an upstream gradient: normal draws, small integers (exact
+    zeros and signed zeros of the affine output), or those integers with a
+    few infinities and NaNs."""
+    x_shape, w_shape, b_shape = shapes
+    out_shape = np.broadcast_shapes(x_shape[:-2], w_shape[:-2]) + x_shape[-2:-1] + w_shape[-2:-1]
+    if values == "normal":
+        arrays = [rng.standard_normal(s) for s in (x_shape, w_shape, b_shape, out_shape)]
+    else:
+        ties = np.array([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.5])
+        arrays = [rng.choice(ties, size=s) for s in (x_shape, w_shape, b_shape, out_shape)]
+        if values == "special":
+            for a in arrays:
+                hit = rng.random(a.shape) < 0.002
+                a[hit] = rng.choice([np.inf, -np.inf, np.nan], size=hit.sum())
+    return arrays
+
+
+@pytest.mark.parametrize("values", ["normal", "ties", "special"])
+@pytest.mark.parametrize("case", _DENSE_SHAPES)
+@np.errstate(invalid="ignore")  # inf * 0 in the special values' products
+def test_dense_block_is_one_node_bitwise_equal_to_the_unfused_chain(case, values):
+    rng = np.random.default_rng([len(case), len(values)])
+    x, w, b, g = _dense_inputs(_DENSE_SHAPES[case], values, rng)
+    if values != "normal":
+        # the cases reach the leaky-relu's kink
+        assert (ad.linear(x, w, b).data == 0.0).any()
+    for slope in (0.01, 0.2):
+        for watch_x in (True, False):
+            _, want = _dense_values_and_grads(unfused_dense_block, x, w, b, g, slope, watch_x)
+            nodes, got = _dense_values_and_grads(ad.dense_block, x, w, b, g, slope, watch_x)
+            assert nodes == 1
+            for a, c in zip(got, want):
+                if c is None:
+                    assert a is None
+                else:
+                    assert a.shape == c.shape and a.tobytes() == c.tobytes()
+        # without a tape the op records nothing and gives the same values
+        free = ad.dense_block(x, w, b, slope)
+        assert free.node is None and free.data.tobytes() == want[0].tobytes()
+
+
+def test_dense_block_argument_checks_are_the_chain_ops():
+    x, w, b = np.ones((2, 3)), np.ones((4, 3)), np.ones(4)
+    for args, error, message in [
+        ((x, np.ones((4, 2)), b, 0.01), DimensionError, "linear inner dimensions differ"),
+        ((x, np.ones(3), b, 0.01), DimensionError, "ndim >= 2"),
+        ((x, w, np.ones(1), 0.01), DimensionError, "linear bias must be shaped"),
+        ((x, np.ones((2, 4, 3)), b, 0.01), DimensionError, "linear bias must be shaped"),
+        ((x, w, b, 0.0), ValueError, r"leaky_relu slope must be in \(0, 1\)"),
+        ((x, w, b, 1.0), ValueError, r"leaky_relu slope must be in \(0, 1\)"),
+        ((x, w, b, np.nan), ValueError, r"leaky_relu slope must be in \(0, 1\)"),
+        # the affine checks run first, as in the chain
+        ((x, np.ones((4, 2)), b, 1.0), DimensionError, "linear inner dimensions differ"),
+    ]:
+        with pytest.raises(error, match=message) as got:
+            ad.dense_block(*args)
+        with pytest.raises(error) as want:
+            unfused_dense_block(*args)
+        assert str(got.value) == str(want.value)
+
+
+def test_dense_block_keeps_a_bool_mask_not_a_float_factor():
+    rng = np.random.default_rng(45)
+    tape = ad.Tape()
+    x = rng.standard_normal((32, 50))
+    w = tape.watch(rng.standard_normal((3, 128, 50)))
+    b = tape.watch(rng.standard_normal((3, 128)))
+    out = ad.dense_block(x, w, b, 0.01)
+    cells = [c.cell_contents for c in tape._nodes[out.node].vjp.__closure__]
+    arrays = [a for a in cells if isinstance(a, np.ndarray)]
+    assert any(a.dtype == bool and a.shape == out.data.shape for a in arrays)
+    assert not any(a.dtype.kind == "f" and a.size == out.data.size for a in arrays)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    batch=st.sampled_from([(), (2,)]),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    out=st.integers(1, 3),
+    slope=st.sampled_from([0.01, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_block_vjp_matches_finite_differences(batch, n, k, out, slope, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(batch + (n, k))
+    w = rng.standard_normal(batch + (out, k))
+    b = rng.standard_normal(batch + (out,))
+    g = rng.standard_normal(batch + (n, out))
+    # every affine output clear of the kink, so that no step crosses it
+    assume(np.abs(ad.linear(x, w, b).data).min() > 1e-2)
+
+    def loss(x, w, b):
+        return ad.reduce_sum(ad.mul(ad.dense_block(x, w, b, slope), g))
+
+    check_op_grad(lambda t: loss(t, w, b), x)
+    check_op_grad(lambda t: loss(x, t, b), w)
+    check_op_grad(lambda t: loss(x, w, t), b)
+
+
 def conv1d_loop_oracle(x, w, stride, padding, g):
     """conv1d output and the gradients of sum(out * g), by plain loops."""
     nb, c_in, length = x.shape
@@ -1010,6 +1137,9 @@ _OP_CALLS = {
     "mean": lambda t: ad.mean(_watched(t, 2, 3), axis=-1),
     "reduce_sum": lambda t: ad.reduce_sum(_watched(t, 2, 3)),
     "leaky_relu": lambda t: ad.leaky_relu(_watched(t, 2, 3)),
+    "dense_block": lambda t: ad.dense_block(
+        _watched(t, 2, 3), _watched(t, 4, 3), _watched(t, 4), slope=0.01
+    ),
     "sigmoid_head": lambda t: ad.sigmoid_head(_watched(t, 2, 3), _watched(t, 1, 3)),
     "softmax": lambda t: ad.softmax(_watched(t, 2, 3)),
     "conv1d": lambda t: ad.conv1d(_watched(t, 2, 3, 8), _watched(t, 4, 3, 3), padding=1),

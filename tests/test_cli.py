@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, exit codes, artifacts, determinism."""
 
+import inspect
 import json
 import math
 import shutil
@@ -261,6 +262,15 @@ def test_run_config_defaults_match_the_model_and_meta_defaults(arch):
     assert run.meta_config(30) == MetaConfig(model=ModelConfig(arch, 30))
     model_fields = [f.name for f in fields(ModelConfig)]
     assert list(SECTION_FIELDS["model"]) == [name for name in model_fields if name != "input_dim"]
+
+
+def test_fold_count_default_is_the_same_for_the_cli_cv_and_the_sweep():
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters["k"].default
+        for fn in (evaluate.cross_validate, evaluate.lambda_sweep)
+    }
+    assert defaults == {"cross_validate": RunConfig.k, "lambda_sweep": RunConfig.k}
+    assert RunConfig().k == evaluate.DEFAULT_K == 10
 
 
 def test_effective_config_bytes(tmp_path):

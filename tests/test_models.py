@@ -210,7 +210,7 @@ def test_forward_rejects_wrong_parameter_set():
         models.predict(mlp, cnn_cfg, np.ones((2, cnn_cfg.input_dim)))
 
 
-@pytest.mark.parametrize("arch,want", [("mlp", 5), ("cnn", 4), ("transformer", 10)])
+@pytest.mark.parametrize("arch,want", [("mlp", 3), ("cnn", 4), ("transformer", 10)])
 def test_forward_calls_autodiff_only_on_parameters_and_activations(monkeypatch, arch, want):
     # the batch is a constant shaped with numpy (the transformer's pad and
     # token reshape, the CNN's channel axis), so no op is spent on it

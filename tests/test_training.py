@@ -11,7 +11,7 @@ from metagx import autodiff as ad
 from metagx import models, training
 from metagx.data import ExpressionDataset, sample_batch
 from metagx.errors import TrainingError
-from metagx.evaluate import cross_validate, cv_to_csv
+from metagx.evaluate import cross_validate, cv_to_csv, lambda_sweep, sweep_to_csv
 from metagx.models import ModelConfig, forward, init_model, predict
 from metagx.synth import SynthSpec, generate_task_family
 
@@ -65,6 +65,66 @@ def test_adam_rejects_non_finite_gradient():
         training.adam_step(params, {"w": np.array([np.inf])}, 0.01, training.AdamState())
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    state = training.AdamState()
+    with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+        training.adam_step({"w": np.array([1.0])}, {"w": np.array([0.5])}, lr, state)
+    assert state.t == 0 and not state.m
+
+
+def out_of_place_adam_step(params, grads, lr, state):
+    """Adam as one fresh array per term: the recurrence ``adam_step`` keeps to
+    bit for bit with its moments updated in place."""
+    state.t += 1
+    bc1 = 1.0 - 0.9**state.t
+    bc2 = 1.0 - 0.999**state.t
+    new = {}
+    for name, arr in params.items():
+        g = grads[name]
+        m = 0.9 * state.m.get(name, 0.0) + (1.0 - 0.9) * g
+        v = 0.999 * state.v.get(name, 0.0) + (1.0 - 0.999) * g * g
+        state.m[name], state.v[name] = m, v
+        new[name] = arr - lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    return new
+
+
+def test_adam_equals_the_out_of_place_recurrence_and_writes_no_input():
+    rng = np.random.default_rng(21)
+    shapes = {"w": (3, 4), "b": (4,), "stacked": (3, 2, 5)}
+    params = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    params["b"][0] = -0.0
+    want_params = {n: a.copy() for n, a in params.items()}
+    state, want_state = training.AdamState(), training.AdamState()
+    snapshots = []
+    for step in range(20):
+        grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
+        for g in grads.values():
+            g[rng.random(g.shape) < 0.2] = -0.0
+            g[rng.random(g.shape) < 0.2] = 0.0
+        if step % 7 == 3:
+            grads["w"][:] = 0.0
+        # a weight's gradient is a transposed view, and a leaf's gradient can
+        # be a read-only broadcast view
+        grads["w"] = np.asfortranarray(grads["w"])
+        grads["b"] = np.broadcast_to(grads["b"], shapes["b"])
+        before = {n: a.tobytes() for n, a in {**params, **grads}.items()}
+        out = training.adam_step(params, grads, 0.003, state)
+        want_params = out_of_place_adam_step(want_params, grads, 0.003, want_state)
+        assert {n: a.tobytes() for n, a in {**params, **grads}.items()} == before
+        for name in shapes:
+            assert out[name].tobytes() == want_params[name].tobytes(), (step, name)
+            # the layout decides which BLAS path the next forward takes
+            assert out[name].strides == want_params[name].strides, (step, name)
+            assert state.m[name].tobytes() == want_state.m[name].tobytes()
+            assert state.v[name].tobytes() == want_state.v[name].tobytes()
+        snapshots.append((out, {n: a.tobytes() for n, a in out.items()}))
+        params = out
+    # later steps write into no array an earlier step returned
+    for out, saved in snapshots:
+        assert {n: a.tobytes() for n, a in out.items()} == saved
+
+
 # ---------------------------------------------------------------------------
 # adaptation and losses
 
@@ -115,6 +175,31 @@ def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch)
     with pytest.raises(TrainingError) as err:
         training.adam_step(stacked, grads, 0.01, training.AdamState())
     assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
+
+
+def test_inner_adapt_is_the_out_of_place_step_on_read_only_gradients(monkeypatch):
+    cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
+    params = init_model(cfg, seed=1)
+    params["hidden.0.bias"][:] = [-0.0, 0.0, 1e-300]
+    ds = make_ds("t", 6, 4, seed=2)
+    grads = training._grads
+    seen = {}
+
+    def read_only(loss, leaves, weight=1.0):
+        out = grads(loss, leaves, weight)
+        out["hidden.0.bias"] = np.array([0.0, -0.0, 1e-290])
+        seen.update(out)
+        return {n: np.broadcast_to(g, g.shape) for n, g in out.items()}
+
+    monkeypatch.setattr(training, "_grads", read_only)
+    before = {n: a.tobytes() for n, a in params.items()}
+    adapted = training.inner_adapt(params, cfg, (ds.matrix, ds.labels), 0.01)
+    assert {n: a.tobytes() for n, a in params.items()} == before
+    for name, a in params.items():
+        want = a - 0.01 * seen[name]
+        assert adapted[name].tobytes() == want.tobytes(), name
+        # the layout decides which BLAS path the adapted forward takes
+        assert adapted[name].strides == want.strides, name
 
 
 def test_inner_adapt_rejects_a_stale_positional_momentum():
@@ -301,6 +386,47 @@ def test_cnn_artifacts_through_conv_block_equal_the_unfused_chain(monkeypatch, t
     )
     chain_params, chain_files = artifacts("chain")
     assert calls, "the reference forward did not run"
+    for name in fused_params:
+        assert fused_params[name].tobytes() == chain_params[name].tobytes(), name
+    assert fused_files == chain_files
+
+
+def reference_inner_adapt(params, model_config, batch, alpha):
+    """``inner_adapt`` as ``a - alpha * g``, with two temporaries."""
+    loss, leaves = training._batch_loss(params, model_config, batch)
+    grads = training._grads(loss, leaves, np.ones_like(loss.data))
+    return {n: a - alpha * grads[n] for n, a in params.items()}
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_artifacts_equal_those_of_the_unfused_out_of_place_step(monkeypatch, tmp_path, arch):
+    sources, target = generate_task_family(SynthSpec(n_features=30, target_samples=40, seed=4))
+    model = ModelConfig(arch, input_dim=30, hidden_dims=(16, 8), channels=4, tokens=6)
+    cfg = tiny_meta_config(model=model, lam=0.5, epochs=2, batch_size=16, seed=5)
+
+    def artifacts(tag):
+        params, log = training.train_meta(cfg, sources, target)
+        training.trainlog_to_csv(log, tmp_path / f"trainlog_{tag}.csv")
+        cv = cross_validate(sources, target, cfg, trainer="meta", k=3)
+        cv_to_csv(cv, tmp_path / f"cv_{tag}.csv")
+        # an MLP sweep trains its weights as one stacked model
+        points = lambda_sweep(sources, target, cfg, (0.2, 1.0), k=3)
+        sweep_to_csv(points, tmp_path / f"sw_{tag}.csv")
+        files = [tmp_path / f"{kind}_{tag}.csv" for kind in ("trainlog", "cv", "sw")]
+        return params, [f.read_bytes() for f in files]
+
+    fused_params, fused_files = artifacts("fused")
+    calls = []
+
+    def chain(x, w, b, slope):
+        calls.append(1)
+        return ad.leaky_relu(ad.linear(x, w, b), slope)
+
+    monkeypatch.setattr(ad, "dense_block", chain)
+    monkeypatch.setattr(training, "adam_step", out_of_place_adam_step)
+    monkeypatch.setattr(training, "inner_adapt", reference_inner_adapt)
+    chain_params, chain_files = artifacts("chain")
+    assert bool(calls) == (arch == "mlp")
     for name in fused_params:
         assert fused_params[name].tobytes() == chain_params[name].tobytes(), name
     assert fused_files == chain_files
