@@ -249,19 +249,19 @@ def matmul(a, b) -> Tensor:
     return _record((a, b), adata @ bdata, lambda g: _matmul_grads(g, adata, bdata, ta, tb))
 
 
-def _linear_operands(x, w, b):
-    """Lift and check ``linear``'s operands; returns the parents, the input,
-    the weight as [..., in, out] and the bias as a [..., 1, out] row, or None
-    without a bias."""
+def _linear_operands(x, w, b, op: str):
+    """Lift and check operands in ``linear``'s layout, naming ``op`` in errors;
+    returns the parents, the input, the weight as [..., in, out] and the bias
+    as a [..., 1, out] row (None without a bias)."""
     parents = [_lift(t) for t in ((x, w) if b is None else (x, w, b))]
     xdata, wdata = parents[0].data, parents[1].data
-    _check_matmul("linear", xdata, wdata, b_stored_t=True)
+    _check_matmul(op, xdata, wdata, b_stored_t=True)
     brow = None
     if b is not None:
         bshape = parents[2].data.shape
         if bshape != wdata.shape[:-1]:
             raise DimensionError(
-                f"linear bias must be shaped {wdata.shape[:-1]} for weight {wdata.shape}, "
+                f"{op} bias must be shaped {wdata.shape[:-1]} for weight {wdata.shape}, "
                 f"got {bshape}"
             )
         brow = parents[2].data[..., None, :]
@@ -288,7 +288,7 @@ def linear(x, w, b=None) -> Tensor:
     shared [B, in] or a stacked [Λ, B, in] input to [Λ, B, out], each slice
     bitwise equal to the 2-D call on that slice's parameters.
     """
-    parents, xdata, wt, brow = _linear_operands(x, w, b)
+    parents, xdata, wt, brow = _linear_operands(x, w, b, "linear")
     out = xdata @ wt if brow is None else xdata @ wt + brow
     tracked = [p.node is not None for p in parents]
     return _record(parents, out, lambda g: _linear_grads(g, xdata, wt, brow, tracked))
@@ -360,7 +360,7 @@ def dense_block(x, w, b, slope: float) -> Tensor:
     mask of the outputs whose chain factor is the slope, built only when an
     operand is on a tape, instead of a float factor array.
     """
-    parents, xdata, wt, brow = _linear_operands(x, w, b)
+    parents, xdata, wt, brow = _linear_operands(x, w, b, "linear")
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     z = xdata @ wt
@@ -388,12 +388,9 @@ def dense_block(x, w, b, slope: float) -> Tensor:
 
 
 def _sigmoid_values(x: Array) -> Array:
-    out = np.empty_like(x)
-    nonneg = x >= 0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-x[nonneg]))
-    ex = np.exp(x[~nonneg])
-    out[~nonneg] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: it never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # the probability rails of sigmoid_head and bce_loss: [_EPS, 1 - _EPS]
@@ -403,32 +400,27 @@ _EPS = 1e-7
 def sigmoid_head(x, w) -> Tensor:
     """[n] probabilities ``clip(sigmoid(x @ w^T), _EPS, 1 - _EPS)`` of [n, k] features
     and a [1, k] weight, zero gradient on the rails, as one node bitwise equal
-    to the transpose/matmul/reshape/sigmoid/clamp chain it replaces.
+    to the transpose/matmul/reshape/sigmoid/clamp chain it replaces. It shares
+    ``linear``'s operand check and gradient.
 
     A stacked [Λ, n, k] input and [Λ, 1, k] weight give [Λ, n], each slice
     bitwise equal to the 2-D call on that slice.
     """
-    x, w = _lift(x), _lift(w)
-    xdata, wdata = x.data, w.data
-    _check_matmul("sigmoid_head", xdata, wdata, b_stored_t=True)
-    if wdata.shape != xdata.shape[:-2] + (1, xdata.shape[-1]):
+    parents, xdata, wt, _ = _linear_operands(x, w, None, "sigmoid_head")
+    if wt.shape != xdata.shape[:-2] + (xdata.shape[-1], 1):
         raise DimensionError(
             f"sigmoid_head needs [n, k] and [1, k] inputs, or [Λ, n, k] and [Λ, 1, k], "
-            f"got {xdata.shape} and {wdata.shape}"
+            f"got {xdata.shape} and {parents[1].data.shape}"
         )
-    wt = np.swapaxes(wdata, -1, -2)
     shape = xdata.shape[:-1]
     s = _sigmoid_values((xdata @ wt).reshape(shape))
-    tx, tw = x.node is not None, w.node is not None
+    tracked = [p.node is not None for p in parents]
 
     def vjp(g):
         g = (g * ((s > _EPS) & (s < 1.0 - _EPS)) * s * (1.0 - s)).reshape(shape + (1,))
-        grads = _matmul_grads(g, xdata, wt, tx, tw)
-        if tw:
-            grads[1] = np.swapaxes(grads[1], -1, -2)
-        return grads
+        return _linear_grads(g, xdata, wt, None, tracked)
 
-    return _record((x, w), np.clip(s, _EPS, 1.0 - _EPS), vjp)
+    return _record(parents, np.clip(s, _EPS, 1.0 - _EPS), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import os
 import re
 import sys
 import typing
@@ -171,11 +172,13 @@ def _parse_field(name: str, raw: str, key: str, base: Path = Path()):
         raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
 
 
-def _format_value(value) -> str:
+def _format_value(value, base: Path) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
+        return ", ".join(_format_value(v, base) for v in value)
+    if isinstance(value, Path) and not value.is_absolute():
+        return os.path.relpath(value, base)
     return str(value)
 
 
@@ -207,14 +210,15 @@ def load_run_config(path: Path) -> RunConfig:
 
 
 def write_effective_config(cfg: RunConfig, path: Path) -> None:
-    """Snapshot the effective settings as INI (skipping unset paths)."""
+    """Snapshot the effective settings as INI (skipping unset paths), with
+    relative paths rewritten to resolve against the snapshot's directory."""
     blocks = []
     for section, names in SECTION_FIELDS.items():
         lines = [f"[{section}]"]
         for name in names:
             value = getattr(cfg, name)
             if _FIELD_KINDS[name][0] is not Path or value:
-                lines.append(f"{_ini_key(name)} = {_format_value(value)}")
+                lines.append(f"{_ini_key(name)} = {_format_value(value, path.parent)}")
         blocks.append("\n".join(lines))
     path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 

@@ -237,6 +237,27 @@ def unfused_linear(x, w, b, g):
     return out, g_x, g_w, g_b
 
 
+def masked_sigmoid(x):
+    """The four-mask sigmoid the unfused chain ran, kept here so that the
+    bitwise tests below do not compare ``ad._sigmoid_values`` with itself."""
+    out = np.empty_like(x)
+    nonneg = x >= 0
+    out[nonneg] = 1.0 / (1.0 + np.exp(-x[nonneg]))
+    ex = np.exp(x[~nonneg])
+    out[~nonneg] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_values_equal_the_masked_sigmoid_bitwise():
+    edges = np.array([0.0, np.inf, 5e-324, 36.7, 709.78, 745.2, 1e308])
+    rng = np.random.default_rng(8)
+    scales = (1e-300, 1e-8, 1.0, 40.0, 800.0, 1e300)
+    draws = [rng.standard_normal((40, 500)) * scale for scale in scales]
+    for x in (np.concatenate([edges, -edges]), *draws):
+        assert ad._sigmoid_values(x).tobytes() == masked_sigmoid(x).tobytes()
+    assert np.isnan(ad._sigmoid_values(np.array([np.nan, -np.nan]))).all()
+
+
 def unfused_head(x, w, g):
     """Value of the transpose/matmul/reshape/sigmoid/clamp chain that
     sigmoid_head replaced, and the gradients of ``sum(out * g)`` for x and w
@@ -245,7 +266,7 @@ def unfused_head(x, w, g):
     wt = np.swapaxes(w, -1, -2)  # transpose
     m = x @ wt  # matmul
     z = m.reshape(x.shape[0])  # reshape
-    s = ad._sigmoid_values(z)  # sigmoid
+    s = masked_sigmoid(z)  # sigmoid
     out = np.clip(s, lo, hi)  # clamp
     g_s = g * ((s > lo) & (s < hi))  # clamp
     g_z = g_s * s * (1.0 - s)  # sigmoid

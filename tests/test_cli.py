@@ -744,6 +744,24 @@ def test_evaluate_deterministic(tmp_path, config_path):
     assert (out_a / "cv_plain.csv").read_bytes() == (out_b / "cv_plain.csv").read_bytes()
 
 
+def test_snapshot_of_a_relative_config_reruns_to_the_same_bytes(tmp_path, family_dir, monkeypatch):
+    for name in ("synth_source_0.tsv", "synth_source_1.tsv", "synth_target.tsv"):
+        shutil.copy(family_dir / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    write_config(Path("run.ini"), Path())
+    assert main(["evaluate", "--config", "run.ini", "--out", "o1"]) == 0
+    snapshot = Path("o1/config.ini").read_text(encoding="utf-8")
+    assert "target = ../synth_target.tsv\n" in snapshot
+    # the snapshot's paths resolve against its own directory, so it re-runs
+    # to the same results and snapshots itself to the same bytes
+    assert main(["evaluate", "--config", "o1/config.ini", "--out", "o2"]) == 0
+    assert Path("o2/config.ini").read_text(encoding="utf-8") == snapshot
+    results = sorted(p.name for p in Path("o1").glob("cv_*.csv"))
+    assert results == ["cv_plain.csv"]
+    for name in results:
+        assert (Path("o1") / name).read_bytes() == (Path("o2") / name).read_bytes()
+
+
 def test_evaluate_rare_class_warns_in_one_line(tmp_path, family_dir, capsys):
     rare = tmp_path / "rare"
     rare.mkdir()

@@ -177,6 +177,28 @@ def test_inner_adapt_rejects_a_non_finite_gradient_of_a_finite_loss(monkeypatch)
     assert str(err.value) == "non-finite gradient for parameter 'output.weight'"
 
 
+def test_each_trainer_names_the_loss_that_turned_non_finite():
+    """Finite inputs near the float limit overflow a transformer's first
+    forward to a NaN loss; each trainer reports the stage it was in."""
+    model = ModelConfig("transformer", input_dim=6, tokens=3, embed_dim=4)
+    cfg = tiny_meta_config(model=model, epochs=1, batch_size=4)
+    target = make_ds("t", 8, 6, seed=1)
+    huge = make_ds("s", 8, 6, seed=2)
+    huge = replace(huge, matrix=np.clip(huge.matrix, -1.7, 1.7) * 1e308)
+    cases = (
+        (lambda: training.train_plain(cfg, huge), "non-finite train loss nan at step 1 (epoch 1)"),
+        (
+            lambda: training.train_transfer(cfg, [huge], target),
+            "non-finite pretrain loss nan at step 1 (epoch 1)",
+        ),
+        (lambda: training.train_meta(cfg, [huge], target), "non-finite adaptation loss nan"),
+    )
+    for run, message in cases:
+        with pytest.raises(TrainingError) as err:
+            run()
+        assert str(err.value) == message
+
+
 def test_inner_adapt_is_the_out_of_place_step_on_read_only_gradients(monkeypatch):
     cfg = ModelConfig("mlp", input_dim=4, hidden_dims=(3,))
     params = init_model(cfg, seed=1)
