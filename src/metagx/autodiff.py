@@ -13,7 +13,6 @@ plain numpy containers with zero bookkeeping cost.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -442,10 +441,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 # structured ops
 
 
-def _im2col(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int):
-    """Check a conv's arguments and copy the windows of ``x3`` once into a
-    column matrix [batch, in_channels*width, out_length]; returns it with the
-    padded input's shape."""
+def _check_conv(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int) -> int:
+    """Raise unless conv1d's arguments fit; returns the output length."""
     if stride < 1:
         raise ValueError(f"conv1d stride must be >= 1, got {stride}")
     if padding < 0:
@@ -464,33 +461,80 @@ def _im2col(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int):
         raise DimensionError(
             f"conv1d window {width} exceeds padded length {padded_len}"
         )
-    xp = np.pad(x3, ((0, 0), (0, 0), (padding, padding))) if padding else x3
+    return (padded_len - width) // stride + 1
+
+
+# conv_block, and conv1d's backward pass, run the batch in blocks of rows
+# whose temporaries take about this many bytes (at least one row a block), so
+# that their working memory does not grow with the batch; of 0.25 to 4 MiB,
+# 1 MiB gave the fastest CNN steps at d=695
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(nb: int, row_bytes: int) -> tuple[int, list[slice]]:
+    """The rows of a block, as many as fit ``_BLOCK_BYTES`` at ``row_bytes``
+    a row (at least one, at most ``nb``), and the consecutive blocks that
+    cover a batch of ``nb`` rows."""
+    rows = min(nb, max(1, _BLOCK_BYTES // max(1, row_bytes)))
+    return rows, [slice(lo, min(lo + rows, nb)) for lo in range(0, nb, max(rows, 1))]
+
+
+def _im2col_blocks(x3: Array, width: int, stride: int, padding: int, rows: int, blocks):
+    """Each block of batch rows of ``x3`` as im2col columns [rows,
+    in_channels*width, out_length]: the rows are zero-padded into one
+    buffer, whose windows are copied into one column buffer, and the next
+    block overwrites both. With one input channel the reshape keeps an
+    overlapping strided view of the padded rows instead of a copy (the
+    layout that sets the matrix products' bits)."""
+    _, c_in, length = x3.shape
+    xp = np.zeros((rows, c_in, length + 2 * padding))
     windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=2)[:, :, ::stride]
-    nb, out_len = xp.shape[0], windows.shape[2]
-    return windows.transpose(0, 1, 3, 2).reshape(nb, c_in * width, out_len), xp.shape
+    windows = windows.transpose(0, 1, 3, 2)
+    cols = windows.reshape(rows, c_in * width, windows.shape[3])
+    # a view of the windows is read-only; a copy is the column buffer
+    copy = cols.flags.writeable
+    for blk in blocks:
+        n = blk.stop - blk.start
+        xp[:n, :, padding : padding + length] = x3[blk]
+        if copy:
+            np.copyto(cols[:n].reshape(windows[:n].shape), windows[:n])
+        yield cols[:n]
 
 
-def _conv_grads(g: Array, cols: Array, w2: Array, w_shape, xp_shape, stride, padding, tx, tw):
-    """conv1d's input and weight gradients from the output gradient ``g``;
-    None for an untracked operand. ``w2`` is the weight as [out, in*width].
+def _conv_grads(parts, rows: int, w2: Array, x_shape, w_shape, stride, padding, tx, tw):
+    """conv1d's input and weight gradients, None for an untracked operand,
+    from (block, output gradient [rows, out, out_length], im2col columns)
+    for consecutive blocks of at most ``rows`` batch rows that cover the
+    batch; ``w2`` is the weight as [out, in*width].
 
-    Both run one batch row at a time: the weight gradient sums the rows'
-    [out, in*width] products, and each row's column gradient is folded back
-    into the padded input before the next is formed.
+    The weight gradient sums the rows' [out, in*width] products with one
+    ``sum(axis=0)``, as the batched product would. Each block's column
+    gradient is folded straight into the unpadded input gradient, dropping
+    what falls on the padding, before the next block's is formed.
     """
-    gx = gw = None
-    if tw:
-        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    if tx:
-        out_len = g.shape[2]
-        _, c_in, width = w_shape
-        gxp = np.zeros(xp_shape)
-        for gxp_row, g_row in zip(gxp, g):
-            gcols = (w2.T @ g_row).reshape(c_in, width, out_len)
-            for k in range(width):
-                gxp_row[:, k : k + stride * out_len : stride] += gcols[:, k]
-        gx = gxp[:, :, padding : xp_shape[2] - padding] if padding else gxp
-    return gx, gw
+    gx = np.zeros(x_shape) if tx else None
+    gw = np.empty((x_shape[0],) + w2.shape) if tw else None
+    length, width = x_shape[2], w_shape[2]
+    gcols = None
+    for blk, g, cols in parts:
+        if tw:
+            np.matmul(g, cols.transpose(0, 2, 1), out=gw[blk])
+        if not tx:
+            continue
+        n, out_len = g.shape[0], g.shape[2]
+        if gcols is None:
+            gcols = np.empty((rows, w2.shape[1], out_len))
+        np.matmul(w2.T, g, out=gcols[:n])
+        gcols4 = gcols[:n].reshape(n, -1, width, out_len)
+        for k in range(width):
+            # window j reads input position k + j*stride - padding; the
+            # windows lo <= j < hi read the input rather than the padding
+            lo = max(0, -((k - padding) // stride))
+            hi = min(out_len, (length + padding - k - 1) // stride + 1)
+            if lo < hi:
+                start = k + lo * stride - padding
+                gx[blk, :, start : start + (hi - lo) * stride : stride] += gcols4[:, :, k, lo:hi]
+    return gx, None if gw is None else gw.sum(axis=0).reshape(w_shape)
 
 
 def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
@@ -504,13 +548,16 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     both gradients are contiguous BLAS products.
     """
     x, w = _lift(x), _lift(w)
-    w_shape = w.data.shape
-    cols, xp_shape = _im2col(x.data, w_shape, stride, padding)
+    x3, w_shape = x.data, w.data.shape
+    _check_conv(x3, w_shape, stride, padding)
+    (cols,) = _im2col_blocks(x3, w_shape[2], stride, padding, len(x3), [slice(0, len(x3))])
     w2 = w.data.reshape(w_shape[0], -1)
-    tx, tw = x.node is not None, w.node is not None
+    x_shape, tx, tw = x3.shape, x.node is not None, w.node is not None
 
     def vjp(g):
-        return _conv_grads(g, cols, w2, w_shape, xp_shape, stride, padding, tx, tw)
+        rows, blocks = _row_blocks(x_shape[0], cols.shape[1] * cols.shape[2] * 8)
+        parts = ((blk, g[blk], cols[blk]) for blk in blocks)
+        return _conv_grads(parts, rows, w2, x_shape, w_shape, stride, padding, tx, tw)
 
     return _record((x, w), w2 @ cols, vjp)
 
@@ -524,15 +571,21 @@ def _check_pool(size: int, stride: int, length: int) -> None:
         raise DimensionError(f"max_pool1d window {size} exceeds length {length}")
 
 
-def _pool(x3: Array, size: int, stride: int, with_arg: bool = True):
+def _pool(x3: Array, size: int, stride: int, with_arg: bool = True, out=None, arg=None):
     """Window maxima of ``x3`` along its last axis and, if ``with_arg``, each
     maximum's offset in its window (the first on ties), in the smallest
-    integer dtype that holds ``size - 1``; else None."""
+    integer dtype that holds ``size - 1``; else None. They are written into
+    ``out`` and ``arg`` when given."""
     # one strided slice per window offset k holds element k of every window
     span = (x3.shape[2] - size) // stride * stride + 1
-    out = x3[:, :, 0:span:stride].copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(size - 1)) if with_arg else None
-    took = np.empty(out.shape, dtype=bool) if with_arg else None
+    first = x3[:, :, 0:span:stride]
+    out = np.empty(first.shape) if out is None else out
+    np.copyto(out, first)
+    took = None
+    if with_arg:
+        arg = np.empty(out.shape, dtype=np.min_scalar_type(size - 1)) if arg is None else arg
+        arg.fill(0)
+        took = np.empty(out.shape, dtype=bool)
     for k in range(1, size):
         cand = x3[:, :, k : k + span : stride]
         if with_arg:
@@ -544,14 +597,15 @@ def _pool(x3: Array, size: int, stride: int, with_arg: bool = True):
     return out, arg
 
 
-def _unpool(g: Array, arg: Array, stride: int, shape: tuple[int, ...]) -> Array:
-    """Route each window's gradient to its maximum; a fresh array of ``shape``."""
+def _unpool(g: Array, arg: Array, stride: int, length: int) -> Array:
+    """Route each window's gradient to its maximum; a fresh [batch, channels,
+    ``length``] array."""
     nb, nc, nw = arg.shape
     # flat index of each window's maximum; bincount sums repeated picks
-    rows = np.arange(nb * nc).reshape(nb, nc, 1) * shape[2]
+    rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
     flat = rows + np.arange(nw) * stride + arg
-    gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=math.prod(shape))
-    return gx.reshape(shape)
+    gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=nb * nc * length)
+    return gx.reshape(nb, nc, length)
 
 
 def max_pool1d(x, size: int, stride: int) -> Tensor:
@@ -568,7 +622,23 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
     # the VJP needs the input's shape only; holding the input itself would
     # keep every pooled activation alive until backward
     shape = x3.shape
-    return _record((x,), out, lambda g: (_unpool(g, arg, stride, shape),))
+    return _record((x,), out, lambda g: (_unpool(g, arg, stride, shape[2]),))
+
+
+def _block_conv_grads(rows: int, blocks, g, arg, neg, slope: float, pool_stride: int):
+    """conv_block's gradient at the conv output for each block of rows: the
+    pooled gradient routed to each window's maximum, times the leaky-relu
+    factor."""
+    factor = np.empty((rows,) + neg.shape[1:])
+    for blk in blocks:
+        ga = _unpool(g[blk], arg[blk], pool_stride, neg.shape[2])
+        # the factor is slope where neg and 1.0 elsewhere, so ga * factor is
+        # the chain's product bit for bit
+        f = factor[: blk.stop - blk.start]
+        np.multiply(neg[blk], slope, out=f)
+        f += ~neg[blk]
+        ga *= f
+        yield ga
 
 
 def conv_block(
@@ -578,48 +648,54 @@ def conv_block(
     pool_stride)`` as one node, bitwise equal to that chain in values and
     gradients, with the same argument checks.
 
-    The leaky-relu and the VJP's slope scaling run one batch row at a time in
-    place, so neither makes a temporary of the conv output's size. The VJP
-    keeps the im2col columns, the weight, a bool mask of the negative conv
-    outputs and the pool's small-integer argmax; no float array of the conv
-    output's size outlives the call. Without a tape neither the mask nor the
-    argmax is built.
+    Both passes run the batch in blocks of rows under ``_BLOCK_BYTES``: a
+    block is padded into a reused buffer, cut into its im2col columns,
+    multiplied by the weight, put through the leaky-relu in place and
+    pooled, so neither the batch's columns nor its conv outputs are ever
+    formed whole. The VJP keeps the block's input, the weight, a bool mask
+    of the negative conv outputs and the pool's small-integer argmax, and
+    rebuilds each block's columns as it goes. Without a tape neither the
+    mask nor the argmax is built.
     """
     x, w = _lift(x), _lift(w)
-    w_shape = w.data.shape
-    cols, xp_shape = _im2col(x.data, w_shape, stride, padding)
+    x3, w_shape = x.data, w.data.shape
+    conv_len = _check_conv(x3, w_shape, stride, padding)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    _check_pool(pool_size, pool_stride, cols.shape[2])
-    w2 = w.data.reshape(w_shape[0], -1)
-    z = w2 @ cols
+    _check_pool(pool_size, pool_stride, conv_len)
+    c_out, width = w_shape[0], w_shape[2]
+    w2 = w.data.reshape(c_out, -1)
     tx, tw = x.node is not None, w.node is not None
     taped = tx or tw
-    if taped:
-        # ~(z >= 0) marks where the chain's leaky-relu factor is the slope,
-        # NaN included
-        neg = z >= 0
-        np.logical_not(neg, out=neg)
-    # max(z, z * slope) is z * factor bit for bit
-    buf = np.empty(z.shape[1:])
-    for row in z:
-        np.multiply(row, slope, out=buf)
-        np.maximum(row, buf, out=row)
-    out, arg = _pool(z, pool_size, pool_stride, with_arg=taped)
+    nb = x3.shape[0]
+    rows, blocks = _row_blocks(nb, conv_len * (c_out + w2.shape[1]) * 8)
+    out = np.empty((nb, c_out, (conv_len - pool_size) // pool_stride + 1))
+    neg = np.empty((nb, c_out, conv_len), dtype=bool) if taped else None
+    arg = np.empty(out.shape, dtype=np.min_scalar_type(pool_size - 1)) if taped else None
+    z = np.empty((rows, c_out, conv_len))
+    buf = np.empty(z.shape)
+    for blk, cols in zip(blocks, _im2col_blocks(x3, width, stride, padding, rows, blocks)):
+        n = blk.stop - blk.start
+        np.matmul(w2, cols, out=z[:n])
+        if taped:
+            # ~(z >= 0) marks where the chain's leaky-relu factor is the
+            # slope, NaN included
+            np.greater_equal(z[:n], 0.0, out=neg[blk])
+            np.logical_not(neg[blk], out=neg[blk])
+        # max(z, z * slope) is z * factor bit for bit
+        np.multiply(z[:n], slope, out=buf[:n])
+        np.maximum(z[:n], buf[:n], out=z[:n])
+        _pool(z[:n], pool_size, pool_stride, taped, out[blk], arg[blk] if taped else None)
     if not taped:
         return Tensor(out)
-    conv_shape = z.shape
 
     def vjp(g):
-        ga = _unpool(g, arg, pool_stride, conv_shape)
-        # the factor is slope where neg and 1.0 elsewhere, so ga * factor is
-        # the chain's product bit for bit
-        factor = np.empty(conv_shape[1:])
-        for ga_row, neg_row in zip(ga, neg):
-            np.multiply(neg_row, slope, out=factor)
-            factor += ~neg_row
-            ga_row *= factor
-        return _conv_grads(ga, cols, w2, w_shape, xp_shape, stride, padding, tx, tw)
+        parts = zip(
+            blocks,
+            _block_conv_grads(rows, blocks, g, arg, neg, slope, pool_stride),
+            _im2col_blocks(x3, width, stride, padding, rows, blocks),
+        )
+        return _conv_grads(parts, rows, w2, x3.shape, w_shape, stride, padding, tx, tw)
 
     return _record((x, w), out, vjp)
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1122,11 +1123,109 @@ def test_conv_block_keeps_no_float_array_of_the_conv_output_size():
     cols_nbytes = nb * c_in * width * length * 8
     cells = [c.cell_contents for c in tape._nodes[out.node].vjp.__closure__]
     arrays = [a for a in cells if isinstance(a, np.ndarray)]
-    # the im2col columns, the weight, a bool mask and a one-byte argmax
-    assert sum(a.nbytes for a in arrays) <= cols_nbytes + w.data.nbytes + 2 * conv_elems
+    # the input, the weight, a bool mask and a one-byte argmax; the backward
+    # pass rebuilds the im2col columns block by block
+    assert sum(a.nbytes for a in arrays) <= x.data.nbytes + w.data.nbytes + 2 * conv_elems
+    assert all(a.nbytes < cols_nbytes for a in arrays)
     assert not any(a.dtype.kind == "f" and a.size == conv_elems for a in arrays)
     grads = ad.backward(ad.reduce_sum(out))
     assert grads[x.node].shape == x.data.shape and grads[w.node].shape == w.data.shape
+
+
+def test_tape_free_conv_block_memory_follows_its_output():
+    # the model's second layer at the panel size: without a tape the block's
+    # temporaries stay within one block of rows, whatever the batch
+    w = ad.Tensor(np.random.default_rng(45).standard_normal((32, 32, 3)))
+    kw = dict(stride=1, padding=1, slope=0.01, pool_size=2, pool_stride=2)
+    extra = {}
+    for nb in (64, 256):
+        x = ad.Tensor(np.random.default_rng(nb).standard_normal((nb, 32, 695)))
+        tracemalloc.start()
+        try:
+            out = ad.conv_block(x, w, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (nb, 32, 347)
+        extra[nb] = peak - out.data.nbytes
+        del x, out
+    # whole-batch im2col columns alone would grow it by 192 * 96 * 695 * 8 bytes
+    assert extra[256] <= extra[64] + 64 * 1024
+    assert extra[64] < 4 * ad._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("budget", [1, 2000, None], ids=["row", "rows", "default"])
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, budget):
+    # a batch split into blocks of rows gives conv_block and conv1d the same
+    # values and gradients as one block holding the whole batch, pools
+    # overlapping or not
+    rng = np.random.default_rng(46)
+    x = rng.choice(_BLOCK_VALUES[:-1], size=(7, 2, 11)) + rng.standard_normal((7, 2, 11))
+    w = rng.standard_normal((3, 2, 3))
+    for pool_size, pool_stride in [(3, 1), (2, 2)]:
+        kw = dict(stride=1, padding=1, slope=0.2, pool_size=pool_size, pool_stride=pool_stride)
+        n_out = (11 - pool_size) // pool_stride + 1
+        g = rng.standard_normal((7, 3, n_out))
+        gc_ = rng.standard_normal((7, 3, 11))
+
+        def run():
+            block = _block_values_and_grads(ad.conv_block, x, w, g, **kw)[1]
+            conv = _block_values_and_grads(
+                lambda a, b: ad.conv1d(a, b, stride=1, padding=1), x, w, gc_
+            )[1]
+            return [*block, *conv]
+
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1 << 40)
+        want = run()
+        if budget is not None:
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", budget)
+        else:
+            monkeypatch.undo()
+        for a, b in zip(run(), want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_empty_channel_axis_gives_empty_and_zero_gradients():
+    # a row of no channels takes no bytes; the ops still return the empty
+    # input gradient and a zero weight gradient
+    x, w = np.ones((3, 0, 8)), np.ones((2, 0, 3))
+    kw = dict(stride=1, padding=1, slope=0.2, pool_size=2, pool_stride=2)
+    conv = _block_values_and_grads(ad.conv1d, x, w, np.ones((3, 2, 8)), padding=1)[1]
+    block = _block_values_and_grads(ad.conv_block, x, w, np.ones((3, 2, 4)), **kw)[1]
+    for out, gx, gw in (conv, block):
+        assert gx.shape == x.shape and gw.shape == w.shape and not out.any()
+    tape = ad.Tape()
+    leaf = tape.watch(x)
+    pooled = ad.max_pool1d(leaf, 2, 2)
+    assert pooled.data.shape == (3, 0, 4)
+    assert ad.backward(ad.reduce_sum(pooled))[leaf.node].shape == x.shape
+
+
+# a pool of two windows with stride one over the five conv outputs: 4 windows
+_WIDE_POOL = dict(stride=1, padding=0, slope=0.2, pool_size=2, pool_stride=1)
+
+
+def test_conv_weight_gradient_sums_rows_as_the_batched_product_does():
+    # with a [1, 1, 1] weight each row's product is [1, 1], so numpy sums the
+    # batch's products pairwise; a running sum over the rows rounds otherwise
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((64, 1, 5)) * 10.0 ** rng.integers(-8, 8, (64, 1, 5))
+    w = np.array([[[0.5]]])
+    g = rng.standard_normal((64, 1, 5))
+    products = np.matmul(g, x.transpose(0, 2, 1))
+    running = np.zeros((1, 1))
+    for p in products:
+        running += p
+    want = products.sum(axis=0)
+    assert running.tobytes() != want.tobytes()
+    tape = ad.Tape()
+    wt = tape.watch(w)
+    out = ad.conv1d(ad.Tensor(x), wt)
+    assert ad.backward(ad.reduce_sum(ad.mul(out, g)))[wt.node].tobytes() == want.tobytes()
+    chain = _block_values_and_grads(unfused_conv_block, x, w, g[:, :, :4], **_WIDE_POOL)[1]
+    block = _block_values_and_grads(ad.conv_block, x, w, g[:, :, :4], **_WIDE_POOL)[1]
+    for a, b in zip(block, chain):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():
