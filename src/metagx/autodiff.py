@@ -464,10 +464,10 @@ def _check_conv(x3: Array, w_shape: tuple[int, ...], stride: int, padding: int) 
     return (padded_len - width) // stride + 1
 
 
-# conv_block, and conv1d's backward pass, run the batch in blocks of rows
-# whose temporaries take about this many bytes (at least one row a block), so
-# that their working memory does not grow with the batch; of 0.25 to 4 MiB,
-# 1 MiB gave the fastest CNN steps at d=695
+# conv_block runs the batch in blocks of rows whose temporaries take about
+# this many bytes (at least one row a block), so that its working memory does
+# not grow with the batch; of 0.25 to 4 MiB, 1 MiB gave the fastest CNN steps
+# at d=695
 _BLOCK_BYTES = 1 << 20
 
 
@@ -501,40 +501,20 @@ def _im2col_blocks(x3: Array, width: int, stride: int, padding: int, rows: int, 
         yield cols[:n]
 
 
-def _conv_grads(parts, rows: int, w2: Array, x_shape, w_shape, stride, padding, tx, tw):
-    """conv1d's input and weight gradients, None for an untracked operand,
-    from (block, output gradient [rows, out, out_length], im2col columns)
-    for consecutive blocks of at most ``rows`` batch rows that cover the
-    batch; ``w2`` is the weight as [out, in*width].
-
-    The weight gradient sums the rows' [out, in*width] products with one
-    ``sum(axis=0)``, as the batched product would. Each block's column
-    gradient is folded straight into the unpadded input gradient, dropping
-    what falls on the padding, before the next block's is formed.
-    """
-    gx = np.zeros(x_shape) if tx else None
-    gw = np.empty((x_shape[0],) + w2.shape) if tw else None
-    length, width = x_shape[2], w_shape[2]
-    gcols = None
-    for blk, g, cols in parts:
-        if tw:
-            np.matmul(g, cols.transpose(0, 2, 1), out=gw[blk])
-        if not tx:
-            continue
-        n, out_len = g.shape[0], g.shape[2]
-        if gcols is None:
-            gcols = np.empty((rows, w2.shape[1], out_len))
-        np.matmul(w2.T, g, out=gcols[:n])
-        gcols4 = gcols[:n].reshape(n, -1, width, out_len)
-        for k in range(width):
-            # window j reads input position k + j*stride - padding; the
-            # windows lo <= j < hi read the input rather than the padding
-            lo = max(0, -((k - padding) // stride))
-            hi = min(out_len, (length + padding - k - 1) // stride + 1)
-            if lo < hi:
-                start = k + lo * stride - padding
-                gx[blk, :, start : start + (hi - lo) * stride : stride] += gcols4[:, :, k, lo:hi]
-    return gx, None if gw is None else gw.sum(axis=0).reshape(w_shape)
+def _fold_cols(gx: Array, gcols: Array, width: int, stride: int, padding: int) -> None:
+    """Add column gradients [rows, in_channels*width, out_length] into the
+    unpadded input gradient ``gx`` in place, dropping what falls on the padding."""
+    n, c_in, length = gx.shape
+    out_len = gcols.shape[2]
+    gcols4 = gcols.reshape(n, c_in, width, out_len)
+    for k in range(width):
+        # window j reads input position k + j*stride - padding; the windows
+        # lo <= j < hi read the input rather than the padding
+        lo = max(0, -((k - padding) // stride))
+        hi = min(out_len, (length + padding - k - 1) // stride + 1)
+        if lo < hi:
+            start = k + lo * stride - padding
+            gx[:, :, start : start + (hi - lo) * stride : stride] += gcols4[:, :, k, lo:hi]
 
 
 def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
@@ -545,19 +525,26 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
 
     Runs as im2col plus matmul: the windows are copied once into a column
     matrix [batch, in_channels*width, out_length], so the forward pass and
-    both gradients are contiguous BLAS products.
+    both gradients are contiguous BLAS products over the whole batch. No
+    model calls it: it is the reference chain that ``conv_block``'s tests
+    check against, and perfbench times it as a kernel.
     """
     x, w = _lift(x), _lift(w)
     x3, w_shape = x.data, w.data.shape
     _check_conv(x3, w_shape, stride, padding)
-    (cols,) = _im2col_blocks(x3, w_shape[2], stride, padding, len(x3), [slice(0, len(x3))])
-    w2 = w.data.reshape(w_shape[0], -1)
+    c_out, c_in, width = w_shape
+    (cols,) = _im2col_blocks(x3, width, stride, padding, len(x3), [slice(0, len(x3))])
+    w2 = w.data.reshape(c_out, c_in * width)
     x_shape, tx, tw = x3.shape, x.node is not None, w.node is not None
 
     def vjp(g):
-        rows, blocks = _row_blocks(x_shape[0], cols.shape[1] * cols.shape[2] * 8)
-        parts = ((blk, g[blk], cols[blk]) for blk in blocks)
-        return _conv_grads(parts, rows, w2, x_shape, w_shape, stride, padding, tx, tw)
+        gx = gw = None
+        if tw:
+            gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+        if tx:
+            gx = np.zeros(x_shape)
+            _fold_cols(gx, np.matmul(w2.T, g), width, stride, padding)
+        return gx, gw
 
     return _record((x, w), w2 @ cols, vjp)
 
@@ -605,7 +592,8 @@ def _unpool(g: Array, arg: Array, stride: int, length: int) -> Array:
     rows = np.arange(nb * nc).reshape(nb, nc, 1) * length
     flat = rows + np.arange(nw) * stride + arg
     gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=nb * nc * length)
-    return gx.reshape(nb, nc, length)
+    # bincount of no index gives int64 whatever the weights
+    return gx.astype(np.float64, copy=False).reshape(nb, nc, length)
 
 
 def max_pool1d(x, size: int, stride: int) -> Tensor:
@@ -623,22 +611,6 @@ def max_pool1d(x, size: int, stride: int) -> Tensor:
     # keep every pooled activation alive until backward
     shape = x3.shape
     return _record((x,), out, lambda g: (_unpool(g, arg, stride, shape[2]),))
-
-
-def _block_conv_grads(rows: int, blocks, g, arg, neg, slope: float, pool_stride: int):
-    """conv_block's gradient at the conv output for each block of rows: the
-    pooled gradient routed to each window's maximum, times the leaky-relu
-    factor."""
-    factor = np.empty((rows,) + neg.shape[1:])
-    for blk in blocks:
-        ga = _unpool(g[blk], arg[blk], pool_stride, neg.shape[2])
-        # the factor is slope where neg and 1.0 elsewhere, so ga * factor is
-        # the chain's product bit for bit
-        f = factor[: blk.stop - blk.start]
-        np.multiply(neg[blk], slope, out=f)
-        f += ~neg[blk]
-        ga *= f
-        yield ga
 
 
 def conv_block(
@@ -663,8 +635,8 @@ def conv_block(
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     _check_pool(pool_size, pool_stride, conv_len)
-    c_out, width = w_shape[0], w_shape[2]
-    w2 = w.data.reshape(c_out, -1)
+    c_out, c_in, width = w_shape
+    w2 = w.data.reshape(c_out, c_in * width)
     tx, tw = x.node is not None, w.node is not None
     taped = tx or tw
     nb = x3.shape[0]
@@ -690,12 +662,25 @@ def conv_block(
         return Tensor(out)
 
     def vjp(g):
-        parts = zip(
-            blocks,
-            _block_conv_grads(rows, blocks, g, arg, neg, slope, pool_stride),
-            _im2col_blocks(x3, width, stride, padding, rows, blocks),
-        )
-        return _conv_grads(parts, rows, w2, x3.shape, w_shape, stride, padding, tx, tw)
+        gx = np.zeros(x3.shape) if tx else None
+        gw = np.empty((nb,) + w2.shape) if tw else None
+        factor = np.empty((rows, c_out, conv_len))
+        gcols = np.empty((rows, w2.shape[1], conv_len)) if tx else None
+        for blk, cols in zip(blocks, _im2col_blocks(x3, width, stride, padding, rows, blocks)):
+            n = blk.stop - blk.start
+            ga = _unpool(g[blk], arg[blk], pool_stride, conv_len)
+            # the factor is slope where neg and 1.0 elsewhere, so ga * factor
+            # is the chain's product bit for bit
+            np.multiply(neg[blk], slope, out=factor[:n])
+            factor[:n] += ~neg[blk]
+            ga *= factor[:n]
+            if tw:
+                np.matmul(ga, cols.transpose(0, 2, 1), out=gw[blk])
+            if tx:
+                np.matmul(w2.T, ga, out=gcols[:n])
+                _fold_cols(gx[blk], gcols[:n], width, stride, padding)
+        # one sum over the rows' products, as the batched product would
+        return gx, None if gw is None else gw.sum(axis=0).reshape(w_shape)
 
     return _record((x, w), out, vjp)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
@@ -65,7 +66,6 @@ class ModelConfig:
             raise ValueError(
                 f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}"
             )
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         positive = {
             "input_dim": self.input_dim,
             "channels": self.channels,
@@ -77,6 +77,12 @@ class ModelConfig:
             "embed_dim": self.embed_dim,
             "tokens": self.tokens,
         }
+        # a float such as 30.0 compares equal to 30 but fails as a shape
+        sizes = [*positive.items(), ("conv_padding", self.conv_padding)]
+        for name, value in sizes + [("hidden_dims entry", h) for h in self.hidden_dims]:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         for name, value in positive.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")

@@ -1154,6 +1154,32 @@ def test_tape_free_conv_block_memory_follows_its_output():
     assert extra[64] < 4 * ad._BLOCK_BYTES
 
 
+def test_taped_conv_block_backward_memory_follows_one_block():
+    # the same layer on a tape: beyond the input gradient and the rows'
+    # [32, 96] weight products, the VJP's temporaries stay within one block
+    w = np.random.default_rng(48).standard_normal((32, 32, 3))
+    kw = dict(stride=1, padding=1, slope=0.01, pool_size=2, pool_stride=2)
+    extra = {}
+    for nb in (64, 256):
+        tape = ad.Tape()
+        x = tape.watch(np.random.default_rng(nb).standard_normal((nb, 32, 695)))
+        out = ad.conv_block(x, tape.watch(w), **kw)
+        vjp = tape._nodes[out.node].vjp
+        g = np.ones(out.data.shape)
+        tracemalloc.start()
+        try:
+            gx, gw = vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.data.shape and gw.shape == w.shape
+        extra[nb] = peak - gx.nbytes - nb * 32 * 96 * 8
+        del tape, x, out, vjp, gx
+    # a whole-batch pool gradient alone would grow it by 192 * 32 * 695 * 8 bytes
+    assert abs(extra[256] - extra[64]) <= 64 * 1024
+    assert extra[256] < 4 * ad._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("budget", [1, 2000, None], ids=["row", "rows", "default"])
 def test_row_blocks_give_the_bits_of_one_block(monkeypatch, budget):
     # a batch split into blocks of rows gives conv_block and conv1d the same
@@ -1194,10 +1220,25 @@ def test_empty_channel_axis_gives_empty_and_zero_gradients():
     block = _block_values_and_grads(ad.conv_block, x, w, np.ones((3, 2, 4)), **kw)[1]
     for out, gx, gw in (conv, block):
         assert gx.shape == x.shape and gw.shape == w.shape and not out.any()
+    # no output channels: an empty output, a zero input gradient and an
+    # empty weight gradient, with input channels or without
+    for c_in in (2, 0):
+        x, w = np.ones((3, c_in, 8)), np.ones((0, c_in, 3))
+        conv = _block_values_and_grads(ad.conv1d, x, w, np.ones((3, 0, 8)), padding=1)[1]
+        block = _block_values_and_grads(ad.conv_block, x, w, np.ones((3, 0, 4)), **kw)[1]
+        free = ad.conv_block(ad.Tensor(x), ad.Tensor(w), **kw).data
+        assert free.shape == block[0].shape == (3, 0, 4) and conv[0].shape == (3, 0, 8)
+        for out, gx, gw in (conv, block):
+            assert gx.shape == x.shape and not gx.any() and gw.shape == w.shape
+            assert out.dtype == gx.dtype == gw.dtype == free.dtype == np.float64
+    x = np.ones((3, 0, 8))
     tape = ad.Tape()
     leaf = tape.watch(x)
     pooled = ad.max_pool1d(leaf, 2, 2)
     assert pooled.data.shape == (3, 0, 4)
+    # the VJP's own result, before backward casts it
+    (routed,) = tape._nodes[pooled.node].vjp(np.ones((3, 0, 4)))
+    assert routed.shape == x.shape and routed.dtype == np.float64
     assert ad.backward(ad.reduce_sum(pooled))[leaf.node].shape == x.shape
 
 

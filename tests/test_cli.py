@@ -1132,6 +1132,38 @@ def test_explain_checkpoint_with_wrong_param_shape_exits_two(
     assert "hidden.0.bias" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field", [f.name for f in fields(ModelConfig) if f.type in ("int", "tuple[int, ...]")]
+)
+def test_explain_checkpoint_with_a_float_size_exits_two(
+    tmp_path, config_path, trained_dir, capsys, field
+):
+    path = trained_dir / "checkpoint.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # 12.0 equals 12, so only a type check tells it from the integer
+    config = doc["config"]
+    if field == "hidden_dims":
+        config[field][0] = float(config[field][0])
+    else:
+        config[field] = float(config[field])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert field in err
+
+
 def test_explain_config_records_the_checkpoint_model(tmp_path, family_dir):
     train_cfg = write_config(
         tmp_path / "train.ini", family_dir, arch="cnn", model_line="channels = 4\n"
