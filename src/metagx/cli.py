@@ -184,7 +184,7 @@ def _format_value(value, base: Path) -> str:
 
 def load_run_config(path: Path) -> RunConfig:
     """Parse an INI run config; unknown sections or keys are ConfigErrors."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -415,7 +415,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         genes = tuple(sidecar["genes"])
         norm = sidecar["normalization"]
         stats = NormalizationStats(norm["mean"], norm["std"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(
             f"cannot read preprocessing sidecar {sidecar_path}: {exc}"
         ) from None

@@ -133,12 +133,12 @@ def _check_scores_labels(scores: Array, labels: Array) -> tuple[Array, Array]:
     return scores, labels
 
 
-def confusion(scores: Array, labels: Array, threshold: float = 0.5) -> Confusion:
-    """Counts at ``score >= threshold``; scores must lie in [0, 1]."""
+def confusion(scores: Array, labels: Array) -> Confusion:
+    """Counts at ``score >= 0.5``; scores must lie in [0, 1]."""
     scores, labels = _check_scores_labels(scores, labels)
     if np.any(scores < 0.0) or np.any(scores > 1.0):
         raise MetricError("scores must lie in [0, 1]")
-    calls = scores >= threshold
+    calls = scores >= 0.5
     pos = labels == 1.0
     tp = int(np.sum(calls & pos))
     fp = int(np.sum(calls & ~pos))
@@ -188,11 +188,9 @@ def pr_auc(scores: Array, labels: Array) -> float:
     return float(np.sum(precision_at * deltas))
 
 
-def classification_metrics(
-    scores: Array, labels: Array, threshold: float = 0.5
-) -> MetricsReport:
+def classification_metrics(scores: Array, labels: Array) -> MetricsReport:
     """Full report at one threshold; PR-AUC is NaN when no positives exist."""
-    c = confusion(scores, labels, threshold)
+    c = confusion(scores, labels)
     accuracy, precision, recall, f1 = _macro_stats(c)
     try:
         auc = pr_auc(scores, labels)

@@ -333,7 +333,7 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")

@@ -52,8 +52,8 @@ class SynthSpec:
             raise ValueError(
                 f"signal_dims must be in [1, n_features], got {self.signal_dims}/{self.n_features}"
             )
-        if self.perturbation < 0:
-            raise ValueError(f"perturbation must be >= 0, got {self.perturbation}")
+        if not 0.0 <= self.perturbation < np.inf:
+            raise ValueError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
         if not 0.0 < self.class_balance < 1.0:

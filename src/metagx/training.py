@@ -272,9 +272,6 @@ def _epoch_batches(dataset: ExpressionDataset, batch_size: int, rng: np.random.G
         yield dataset.matrix[idx], dataset.labels[idx]
 
 
-OnStep = Callable[[int, ModelParams], None]
-
-
 # a diverging run overflows before its loss or a gradient turns non-finite, and
 # those checks raise TrainingError; numpy's warnings on the way are only noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -284,7 +281,6 @@ def _train_loop(
     dataset: ExpressionDataset,
     stage: str,
     log: list[TrainLogRecord],
-    on_step: OnStep | None,
     sources: Sequence[ExpressionDataset] = (),
     lams: Array | None = None,
 ) -> ModelParams:
@@ -336,8 +332,6 @@ def _train_loop(
                 lm_v = lt_v * lam + ls_v * (1.0 - lam)
             params = outer_step(params, grads, adam, config.beta)
             log.append(TrainLogRecord(step, epoch, lt_v, ls_v, lm_v, stage))
-            if on_step is not None:
-                on_step(step, params)
     return params
 
 
@@ -345,7 +339,6 @@ def train_meta(
     config: MetaConfig,
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
-    on_step: OnStep | None = None,
 ) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Meta-train across sources and a target training split.
 
@@ -359,7 +352,7 @@ def train_meta(
     _check_inputs(config, [*sources, target_train])
     log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
-    params = _train_loop(config, params, target_train, "train", log, on_step, sources)
+    params = _train_loop(config, params, target_train, "train", log, sources)
     return params, log
 
 
@@ -391,19 +384,18 @@ def train_meta_stacked(
     init = init_model(config.model, config.seed)
     params = {n: np.tile(a, (len(lams),) + (1,) * a.ndim) for n, a in init.items()}
     vec = np.array(lams, dtype=np.float64)
-    return _train_loop(config, params, target_train, "train", [], None, sources, vec)
+    return _train_loop(config, params, target_train, "train", [], sources, vec)
 
 
 def train_plain(
     config: MetaConfig,
     target_train: ExpressionDataset,
-    on_step: OnStep | None = None,
 ) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Adam training on the target split alone (no sources, no inner loop)."""
     _check_inputs(config, [target_train])
     log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
-    params = _train_loop(config, params, target_train, "train", log, on_step)
+    params = _train_loop(config, params, target_train, "train", log)
     return params, log
 
 
@@ -423,7 +415,6 @@ def train_transfer(
     config: MetaConfig,
     sources: Sequence[ExpressionDataset],
     target_train: ExpressionDataset,
-    on_step: OnStep | None = None,
 ) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Pretrain on pooled sources, then fine-tune on the target split.
 
@@ -436,6 +427,6 @@ def train_transfer(
     _check_inputs(config, [*sources, target_train])
     log: list[TrainLogRecord] = []
     params = init_model(config.model, config.seed)
-    params = _train_loop(config, params, _pool_sources(sources), "pretrain", log, on_step)
-    params = _train_loop(config, params, target_train, "finetune", log, on_step)
+    params = _train_loop(config, params, _pool_sources(sources), "pretrain", log)
+    params = _train_loop(config, params, target_train, "finetune", log)
     return params, log

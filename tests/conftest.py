@@ -1,8 +1,11 @@
 """Shared numeric oracles and hooks for the test suite."""
 
-import numpy as np
+from contextlib import contextmanager
 
-from metagx import evaluate
+import numpy as np
+import pytest
+
+from metagx import evaluate, training
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -51,3 +54,19 @@ def count_trainer_calls(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(evaluate, name, counted)
     return calls
+
+
+@contextmanager
+def adam_step_trail():
+    """Within the block, each outer step appends its new parameters to the
+    yielded list, as ``metagx.training.adam_step`` returns them."""
+    trail = []
+    adam_step = training.adam_step
+
+    def recording(*args):
+        trail.append(adam_step(*args))
+        return trail[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "adam_step", recording)
+        yield trail

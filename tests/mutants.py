@@ -63,6 +63,42 @@ MUTANTS = [
             "tests/test_autodiff.py::test_conv_block_matches_loop_oracle",
         ],
     ),
+    (
+        "metagx/autodiff.py",
+        "        gz += ~neg\n",
+        "",
+        ["tests/test_autodiff.py::test_dense_block_is_one_node_bitwise_equal_to_the_unfused_chain"],
+    ),
+    (
+        "metagx/evaluate.py",
+        "folds[:fold] + folds[fold + 1 :]",
+        "folds[:fold] + folds[fold:]",
+        ["tests/test_data.py::test_stratified_kfold_train_test_disjoint"],
+    ),
+    (
+        "metagx/evaluate.py",
+        "f1_mean=cv.mean_f1",
+        "f1_mean=float(np.mean([r.f1 for r in per_fold]))",
+        ["tests/test_evaluate.py::test_lambda_sweep_endpoint_mean_f1_matches_plain_at_ten_folds"],
+    ),
+    (
+        "metagx/training.py",
+        "step = m / bc1",
+        "step = m / 1.0",
+        ["tests/test_training.py::test_adam_matches_hand_recurrence"],
+    ),
+    (
+        "metagx/explain.py",
+        "phi /= n_permutations",
+        "phi /= n_permutations + 1",
+        ["tests/test_explain.py::test_sampled_matches_linear_closed_form"],
+    ),
+    (
+        "metagx/cli.py",
+        "configparser.ConfigParser(interpolation=None)",
+        "configparser.ConfigParser()",
+        ["tests/test_cli.py::test_percent_in_a_path_is_read_literally"],
+    ),
 ]
 
 

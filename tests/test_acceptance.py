@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, numeric_grad
+from conftest import adam_step_trail, max_rel_err, numeric_grad
 from metagx import autodiff as ad
 from metagx.autodiff import Tensor
 from metagx.cli import main
@@ -146,12 +146,12 @@ def test_lambda_one_equals_plain_training():
             model = ModelConfig(arch, input_dim=spec.n_features)
             config = MetaConfig(model=model, lam=1.0, epochs=6, seed=seed)
 
-            trail_meta: list[ModelParams] = []
-            train_meta(config, sources, target, on_step=lambda s, p: trail_meta.append(p))
-            trail_plain: list[ModelParams] = []
-            train_plain(config, target, on_step=lambda s, p: trail_plain.append(p))
+            with adam_step_trail() as trail_meta:
+                _, log_meta = train_meta(config, sources, target)
+            with adam_step_trail() as trail_plain:
+                _, log_plain = train_plain(config, target)
 
-            assert len(trail_meta) == len(trail_plain)
+            assert len(trail_meta) == len(log_meta) == len(trail_plain) == len(log_plain) > 0
             for pm, pp in zip(trail_meta, trail_plain):
                 for name in pm:
                     worst = max(worst, float(np.max(np.abs(pm[name] - pp[name]))))

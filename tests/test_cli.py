@@ -562,6 +562,8 @@ def test_synth_deterministic(tmp_path, family_dir):
         ("--source-samples", "1"),
         ("--target-samples", "1"),
         ("--perturbation", "-0.1"),
+        ("--perturbation", "nan"),
+        ("--perturbation", "inf"),
         ("--noise", "0.5"),
         ("--balance", "1"),
         ("--balance", "0.001"),
@@ -571,7 +573,7 @@ def test_synth_bad_flag_exits_two_naming_the_flag(tmp_path, capsys, flag, value)
     out = tmp_path / "o"
     assert main(["synth", "--out", str(out), flag, value]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     renamed = [field for field, name in cli._SYNTH_FLAGS.items() if name != f"--{field}"]
     assert not any(field in err for field in renamed)
     assert not out.exists()
@@ -760,6 +762,18 @@ def test_snapshot_of_a_relative_config_reruns_to_the_same_bytes(tmp_path, family
     assert results == ["cv_plain.csv"]
     for name in results:
         assert (Path("o1") / name).read_bytes() == (Path("o2") / name).read_bytes()
+
+
+def test_percent_in_a_path_is_read_literally(tmp_path, family_dir):
+    data = tmp_path / "100%_data"
+    shutil.copytree(family_dir, data)
+    config = write_config(tmp_path / "run.ini", data)
+    assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o1")]) == 0
+    snapshot = tmp_path / "o1" / "config.ini"
+    assert f"target = {data / 'synth_target.tsv'}\n" in snapshot.read_text(encoding="utf-8")
+    # the snapshot keeps the % as written, so it re-runs to the same results
+    assert main(["evaluate", "--config", str(snapshot), "--out", str(tmp_path / "o2")]) == 0
+    assert read_tree(tmp_path / "o1") == read_tree(tmp_path / "o2")
 
 
 def test_evaluate_rare_class_warns_in_one_line(tmp_path, family_dir, capsys):
@@ -1052,6 +1066,27 @@ def test_explain_bad_sidecar_normalization_exits_two(
     )
     assert code == 2
     assert "sidecar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["checkpoint.json", "preprocess.json"])
+def test_explain_deeply_nested_json_exits_two(tmp_path, config_path, trained_dir, capsys, name):
+    # too deep for the JSON decoder's recursion, which raises RecursionError
+    (trained_dir / name).write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = main(
+        [
+            "explain",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "o"),
+            "--checkpoint",
+            str(trained_dir / "checkpoint.json"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert name in err
 
 
 def test_explain_parses_only_the_target(tmp_path, family_dir, trained_dir, monkeypatch):

@@ -106,5 +106,6 @@ def test_spec_validation():
         synth.SynthSpec(label_noise=0.5)
     with pytest.raises(ValueError):
         synth.SynthSpec(class_balance=1.0)
-    with pytest.raises(ValueError):
-        synth.SynthSpec(perturbation=-0.1)
+    for perturbation in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="perturbation must be finite and >= 0"):
+            synth.SynthSpec(perturbation=perturbation)

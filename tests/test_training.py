@@ -15,7 +15,7 @@ from metagx.evaluate import cross_validate, cv_to_csv, lambda_sweep, sweep_to_cs
 from metagx.models import ModelConfig, forward, init_model, predict
 from metagx.synth import SynthSpec, generate_task_family
 
-from conftest import max_rel_err, numeric_grad
+from conftest import adam_step_trail, max_rel_err, numeric_grad
 
 
 def make_ds(name: str, n: int, d: int, seed: int) -> ExpressionDataset:
@@ -329,14 +329,11 @@ def test_train_meta_lambda_one_equals_plain():
     sources = [make_ds(f"s{i}", 25, 6, seed=40 + i) for i in range(3)]
     target = make_ds("t", 20, 6, seed=50)
 
-    meta_snaps, plain_snaps = [], []
-    p_meta, log_meta = training.train_meta(
-        cfg, sources, target, on_step=lambda s, p: meta_snaps.append(p)
-    )
-    p_plain, log_plain = training.train_plain(
-        cfg, target, on_step=lambda s, p: plain_snaps.append(p)
-    )
-    assert len(meta_snaps) == len(plain_snaps)
+    with adam_step_trail() as meta_snaps:
+        p_meta, log_meta = training.train_meta(cfg, sources, target)
+    with adam_step_trail() as plain_snaps:
+        p_plain, log_plain = training.train_plain(cfg, target)
+    assert len(meta_snaps) == len(log_meta) == len(plain_snaps) == len(log_plain) > 0
     for pm, pp in zip(meta_snaps, plain_snaps):
         for name in pm:
             np.testing.assert_array_equal(pm[name], pp[name])
