@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
+import functools
 import json
 import os
 import re
@@ -555,7 +557,66 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
+# glibc mallopt parameters: serve blocks below 64 MiB from the heap and keep
+# up to 128 MiB of free heap, so that each tape reuses the previous tape's pages
+# instead of mapping and faulting in fresh ones
+_MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 128 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.cache
+def _own_process() -> None:
+    """Set up the process once: glibc's allocator thresholds, where libc has
+    ``mallopt``, and one thread for the mapped OpenBLAS, where it has a setter.
+
+    One BLAS thread makes every artifact independent of the CPU count and
+    avoids the stalls of multi-threaded GEMMs on small products."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        libc = None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        for param, value in _MALLOPT_SETTINGS:
+            mallopt(param, value)
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        maps = ""
+    libs = {
+        line.split()[-1]
+        for line in maps.splitlines()
+        if "openblas" in line.lower() and line.split()[-1].startswith("/")
+    }
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``metagx`` command; returns its exit code.
+
+    ``main`` owns the process it runs in. Its first call, before the
+    arguments are parsed, raises glibc's mmap and trim thresholds and sets
+    the loaded OpenBLAS to one thread, for the rest of the process; later
+    calls change nothing. The library modules change no process-wide setting.
+    """
+    _own_process()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

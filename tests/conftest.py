@@ -5,7 +5,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from metagx import evaluate, training
+from metagx import cli, evaluate, training
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _process_settings():
+    """Run every test under the process settings of ``metagx.cli.main``, so
+    that no test's result depends on whether an earlier test called ``main``."""
+    cli._own_process()
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

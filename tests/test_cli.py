@@ -1,9 +1,14 @@
 """Command-line interface: config parsing, exit codes, artifacts, determinism."""
 
+import ctypes
 import inspect
 import json
 import math
+import os
+import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1232,3 +1237,126 @@ def test_explain_config_records_the_checkpoint_model(tmp_path, family_dir):
     explained = model_section(out / "config.ini")
     assert "architecture = cnn\n" in explained and "channels = 4\n" in explained
     assert explained == model_section(trained / "config.ini")
+
+
+# ---------------------------------------------------------------------------
+# the README's example config
+
+
+def test_readme_example_config_loads(tmp_path, family_dir):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    config = tmp_path / "run.ini"
+    config.write_text(block[1], encoding="utf-8")
+    source = family_dir / "synth_source_0.tsv"
+    for name in ("cohort_a.tsv", "cohort_b.tsv", "cohort_c.tsv"):
+        shutil.copy(source, tmp_path / name)
+    shutil.copy(family_dir / "synth_target.tsv", tmp_path / "cohort_t.tsv")
+    cfg = load_run_config(config)
+    assert (cfg.architecture, cfg.trainer, cfg.hidden_dims) == ("mlp", "meta", (128, 64))
+    assert (cfg.alpha, cfg.momentum, cfg.beta, cfg.lam) == (0.0004, 0.2, 0.0004, 0.5)
+    assert cfg.target == tmp_path / "cohort_t.tsv" and cfg.interactions is None
+    assert main(["preprocess", "--config", str(config), "--out", str(tmp_path / "prep")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# process settings: main's allocator thresholds and one BLAS thread
+
+_SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _openblas_threads() -> tuple | None:
+    """(getter, setter) of the mapped OpenBLAS's thread count, or None."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return None
+    libs = {
+        line.split()[-1]
+        for line in maps.read_text(encoding="utf-8").splitlines()
+        if "openblas" in line.lower() and line.split()[-1].startswith("/")
+    }
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            getter = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                return getter, setter
+    return None
+
+
+def test_train_checkpoint_does_not_depend_on_the_blas_thread_count(tmp_path):
+    assert main(["synth", "--features", "695", "--out", str(tmp_path)]) == 0
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[data]\nsources = synth_source_0.tsv, synth_source_1.tsv, synth_source_2.tsv\n"
+        "target = synth_target.tsv\n[training]\nepochs = 1\n",
+        encoding="utf-8",
+    )
+    code = "import sys; from metagx.cli import main; sys.exit(main(sys.argv[1:]))"
+    checkpoints = set()
+    for threads in (None, "1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(_SRC)}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        args = ["train", "--config", str(config), "--out", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        checkpoints.add((out / "checkpoint.json").read_bytes())
+    assert len(checkpoints) == 1
+
+
+def test_main_sets_openblas_to_one_thread():
+    calls = _openblas_threads()
+    if calls is None:
+        pytest.skip("no OpenBLAS is mapped")
+    getter, setter = calls
+    setter(2)
+    cli._own_process.cache_clear()
+    try:
+        assert main(["--version"]) == 0
+        assert getter() == 1
+    finally:
+        setter(1)
+
+
+_FAULTS_PROBE = """
+import resource, sys
+import numpy as np
+from metagx import cli
+if sys.argv[1] == "main":
+    cli.main(["--version"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    block = np.ones(5_000_000)
+    del block
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_main_keeps_freed_heap_for_the_next_allocation():
+    try:
+        has_mallopt = hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        has_mallopt = False
+    if not has_mallopt:
+        pytest.skip("libc has no mallopt")
+    faults = {}
+    for mode in ("library", "main"):
+        run = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PROBE, mode],
+            env={**os.environ, "PYTHONPATH": str(_SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        faults[mode] = int(run.stdout.split()[-1])
+    # 40 MB is above glibc's 32 MiB dynamic mmap cap, so without main each
+    # array is mapped and faulted in afresh; with it, the heap is reused
+    assert faults["main"] * 5 < faults["library"], faults
