@@ -27,7 +27,7 @@ from .models import ModelConfig, ModelParams, forward_mlp_tail, predict
 Array = np.ndarray
 
 _EXACT_MAX_FEATURES = 16
-_PERM_BLOCK = 2048
+_PERM_BLOCK = 2048  # unused here; perfbench's explain.block_mb formula reads it
 # Model rows per call; whole permutations (d + 1 rows each), at least one.
 _ROW_BUDGET = 1024
 
@@ -67,16 +67,23 @@ class Attribution:
 
 
 def _predict_fn(model, config: ModelConfig | None) -> Callable[[Array], Array]:
-    if config is None:
-        if not callable(model):
-            raise TypeError("with config=None, model must be a callable matrix -> scores")
-        return model
-    if not isinstance(model, dict):
-        raise TypeError("model must be a parameter dict when a ModelConfig is given")
-    return lambda matrix: predict(model, config, matrix)
+    if config is not None:
+        if not isinstance(model, dict):
+            raise TypeError("model must be a parameter dict when a ModelConfig is given")
+        return lambda matrix: predict(model, config, matrix)
+    if not callable(model):
+        raise TypeError("with config=None, model must be a callable matrix -> scores")
+
+    def scores(matrix: Array) -> Array:
+        out = np.asarray(model(matrix), dtype=np.float64)
+        if out.shape != (matrix.shape[0],):
+            raise ValueError(f"model returned shape {out.shape} for {matrix.shape[0]} rows")
+        return out
+
+    return scores
 
 
-def _check_inputs(background: Array, sample: Array) -> tuple[Array, Array]:
+def _base_and_sample(background: Array, sample: Array) -> tuple[Array, Array]:
     background = np.asarray(background, dtype=np.float64)
     sample = np.asarray(sample, dtype=np.float64)
     if background.ndim != 2 or background.shape[0] == 0:
@@ -85,7 +92,7 @@ def _check_inputs(background: Array, sample: Array) -> tuple[Array, Array]:
         raise ValueError(
             f"sample shape {sample.shape} does not match background width {background.shape[1]}"
         )
-    return background, sample
+    return background.mean(axis=0), sample
 
 
 def _gene_ids(gene_ids: Sequence[str] | None, d: int) -> tuple[str, ...]:
@@ -108,17 +115,14 @@ def shapley_exact(
 
     Only sensible for small d; refuses more than 16 features.
     """
-    background, sample = _check_inputs(background, sample)
+    base, sample = _base_and_sample(background, sample)
     fn = _predict_fn(model, config)
     d = sample.shape[0]
     if d > _EXACT_MAX_FEATURES:
         raise ValueError(f"exact enumeration supports up to {_EXACT_MAX_FEATURES} features, got {d}")
-    base = background.mean(axis=0)
     codes = np.arange(2**d, dtype=np.int64)
     masks = ((codes[:, None] >> np.arange(d)) & 1).astype(bool)
-    values = np.asarray(fn(np.where(masks, sample, base)), dtype=np.float64)
-    if values.shape != (2**d,):
-        raise ValueError(f"model returned shape {values.shape} for {2 ** d} rows")
+    values = fn(np.where(masks, sample, base))
     sizes = masks.sum(axis=1)
     fact = [math.factorial(i) for i in range(d + 1)]
     weight_by_size = np.array(
@@ -149,8 +153,7 @@ def _hybrid_values(fn: Callable[[Array], Array], base: Array, sample: Array):
         # row j of a permutation holds the features of its first j arrivals
         position = np.argsort(perms, axis=1)
         inputs = np.where(position[:, None, :] < arrivals, sample, base)
-        out = np.asarray(fn(inputs.reshape(-1, d)), dtype=np.float64)
-        return out.reshape(len(perms), d + 1)
+        return fn(inputs.reshape(-1, d)).reshape(len(perms), d + 1)
 
     return values
 
@@ -197,18 +200,17 @@ def shapley_sampled(
     An MLP never sees the hybrid rows: each row's first-layer
     pre-activations are the base row's plus a running sum of per-feature
     column steps, and only the later layers run. Any other model scores the
-    hybrid rows through ``predict`` (or the callable). Either way whole
-    permutations are evaluated, at most ``max(1024, d + 1)`` rows per call,
-    so memory does not grow with ``n_permutations``.
+    hybrid rows through ``predict`` (or the callable). Either way each chunk
+    of whole permutations, at most ``max(1024, d + 1)`` rows, is drawn just
+    before it is scored, so memory does not grow with ``n_permutations``.
     """
-    background, sample = _check_inputs(background, sample)
+    base, sample = _base_and_sample(background, sample)
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     fn = _predict_fn(model, config)
     d = sample.shape[0]
-    base = background.mean(axis=0)
-    base_value = float(np.asarray(fn(base[None, :]))[0])
-    prediction = float(np.asarray(fn(sample[None, :]))[0])
+    base_value = float(fn(base[None, :])[0])
+    prediction = float(fn(sample[None, :])[0])
     if config is not None and config.architecture == "mlp":
         coalition_values = _mlp_values(model, config, base, sample)
     else:
@@ -217,15 +219,12 @@ def shapley_sampled(
     rng = np.random.default_rng(seed)
     phi = np.zeros(d)
     step = max(1, _ROW_BUDGET // (d + 1))
-    remaining = n_permutations
-    while remaining > 0:
-        block = min(_PERM_BLOCK, remaining)
-        remaining -= block
-        perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
-        for start in range(0, block, step):
-            chunk = perms[start : start + step]
-            gains = np.diff(coalition_values(chunk), axis=1)
-            np.add.at(phi, chunk.ravel(), gains.ravel())
+    for start in range(0, n_permutations, step):
+        # permuted shuffles row by row: chunked draws give one draw's rows
+        c = min(step, n_permutations - start)
+        perms = rng.permuted(np.tile(np.arange(d), (c, 1)), axis=1)
+        gains = np.diff(coalition_values(perms), axis=1)
+        np.add.at(phi, perms.ravel(), gains.ravel())
     phi /= n_permutations
     return Attribution(
         gene_ids=_gene_ids(gene_ids, d),

@@ -94,6 +94,27 @@ MUTANTS = [
         ["tests/test_explain.py::test_sampled_matches_linear_closed_form"],
     ),
     (
+        "metagx/explain.py",
+        "c = min(step, n_permutations - start)",
+        "c = step",
+        [
+            "tests/test_explain.py::test_model_never_sees_more_rows_than_the_budget[None]",
+            "tests/test_explain.py::test_chunked_draws_equal_one_draw_of_every_permutation",
+        ],
+    ),
+    (
+        "metagx/training.py",
+        "lam if sources else 1.0",
+        "1.0",
+        ["tests/test_training.py::test_lambda_zero_ignores_the_target_batches"],
+    ),
+    (
+        "metagx/autodiff.py",
+        "e / (1.0 + e))",
+        "1.0 - 1.0 / (1.0 + e))",
+        ["tests/test_autodiff.py::test_sigmoid_values_equal_the_masked_sigmoid_bitwise"],
+    ),
+    (
         "metagx/cli.py",
         "configparser.ConfigParser(interpolation=None)",
         "configparser.ConfigParser()",

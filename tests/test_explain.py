@@ -103,7 +103,7 @@ def test_sampled_deterministic_per_seed():
 
 
 def test_block_boundaries_do_not_change_the_estimate():
-    # more permutations than one internal block, tiny d: still deterministic
+    # many chunks of 341 permutations and a ragged last one, tiny d: still exact
     background = np.zeros((3, 2))
     sample = np.array([1.0, -1.0])
     att = explain.shapley_sampled(
@@ -188,8 +188,9 @@ def _row_scorer(matrix):
     return np.sin(x[0] * x[1]) + x[2] ** 3 - np.exp(x[3] * x[4])
 
 
-# one permutation a call; three, so that a 2048-permutation block ends ragged
-@pytest.mark.parametrize("budget", [1, 21])
+# one permutation a call; three, which divides 2100; eight, so that the last
+# chunk is ragged
+@pytest.mark.parametrize("budget", [1, 21, 56])
 def test_streamed_estimate_equals_one_shot_for_black_box(monkeypatch, budget):
     rng = np.random.default_rng(15)
     background = rng.standard_normal((10, 6))
@@ -234,6 +235,85 @@ def test_model_never_sees_more_rows_than_the_budget(monkeypatch, budget):
     explain.shapley_sampled(scorer, None, background, background[0], 2100, seed=19)
     assert max(calls) <= max(explain._ROW_BUDGET, d + 1)
     assert sum(calls) == 2 + 2100 * (d + 1)  # base value, prediction, every coalition
+
+
+@pytest.mark.parametrize(
+    "scorer",
+    [
+        lambda matrix: float(matrix.sum()),
+        lambda matrix: matrix.sum(axis=1, keepdims=True),
+        lambda matrix: matrix.sum(axis=1)[:1],
+    ],
+    ids=["scalar", "column", "too_few"],
+)
+@pytest.mark.parametrize("estimator", ["exact", "sampled"])
+def test_a_scorer_of_the_wrong_shape_is_a_value_error(estimator, scorer):
+    background = np.random.default_rng(29).standard_normal((5, 6))
+    args = (scorer, None, background, background[0])
+    with pytest.raises(ValueError, match=r"model returned shape \(.*\) for \d+ rows"):
+        if estimator == "exact":
+            explain.shapley_exact(*args)
+        else:
+            explain.shapley_sampled(*args, n_permutations=10, seed=0)
+
+
+def test_sampled_peak_memory_does_not_grow_with_permutations():
+    config = ModelConfig("mlp", input_dim=200)
+    params = init_model(config, seed=30)
+    background = np.random.default_rng(31).standard_normal((20, 200))
+    peaks = []
+    for n_permutations in (50, 2100, 5000):
+        tracemalloc.start()
+        try:
+            explain.shapley_sampled(params, config, background, background[0], n_permutations, 32)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) - peaks[0] <= 0.2e6, peaks
+
+
+def _one_draw_reference(coalition_values, d, n_permutations, seed, step):
+    """The estimate from all permutations drawn at once, scored in chunks of
+    ``step`` and accumulated in permutation order."""
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
+    phi = np.zeros(d)
+    for start in range(0, n_permutations, step):
+        chunk = perms[start : start + step]
+        gains = np.diff(coalition_values(chunk), axis=1)
+        np.add.at(phi, chunk.ravel(), gains.ravel())
+    return phi / n_permutations
+
+
+@pytest.mark.parametrize("path", ["mlp", "hybrid"])
+def test_chunked_draws_equal_one_draw_of_every_permutation(path):
+    # d=30: 33 permutations a chunk, so the 100th permutation is a chunk alone
+    d, n_permutations = 30, 100
+    rng = np.random.default_rng(33)
+    background = rng.standard_normal((8, d))
+    sample = rng.standard_normal(d)
+    base = background.mean(axis=0)
+    if path == "mlp":
+        config = ModelConfig("mlp", input_dim=d, hidden_dims=(8, 4))
+        model = init_model(config, seed=34)
+        coalition_values = explain._mlp_values(model, config, base, sample)
+    else:
+        config, model = None, _row_scorer
+
+        def coalition_values(perms):
+            # row j of a permutation keeps the sample's values of its first j features
+            rows = [
+                np.where(np.isin(np.arange(d), perm[:j]), sample, base)
+                for perm in perms
+                for j in range(d + 1)
+            ]
+            return _row_scorer(np.array(rows)).reshape(len(perms), d + 1)
+
+    step = explain._ROW_BUDGET // (d + 1)
+    assert n_permutations % step != 0
+    got = explain.shapley_sampled(model, config, background, sample, n_permutations, seed=35)
+    want = _one_draw_reference(coalition_values, d, n_permutations, 35, step)
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_sampled_peak_memory_is_bounded_at_panel_size():
